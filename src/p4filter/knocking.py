@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .packet import Ipv4Address, Packet
-
-CONSUME = "Consume"
-FORWARD = "Forward"
-DROP = "Drop"
+from .verdict import CONSUMED, DROPPED, FORWARDED, Verdict
 
 STAGE_AUTHENTICATED = 3
 
@@ -56,13 +53,7 @@ class KnockState:
             raise ValueError(f"stage {self.stage} out of range")
 
 
-@dataclass(frozen=True)
-class KnockVerdict:
-    kind: str     # Consume | Forward | Drop
-    reason: str
-
-
-def knock_step(state: KnockState, p: Packet) -> tuple[KnockVerdict, KnockState]:
+def knock_step(state: KnockState, p: Packet) -> tuple[Verdict, KnockState]:
     """Advance one host's knocking FSM by one packet.
 
     Stages 0-2: a pure SYN to the expected knock port advances and is
@@ -81,15 +72,15 @@ def knock_step(state: KnockState, p: Packet) -> tuple[KnockVerdict, KnockState]:
 
     if state.stage == STAGE_AUTHENTICATED:
         if dport == state.seq.service_port:
-            return KnockVerdict(FORWARD, "knock authenticated"), state
+            return Verdict(FORWARDED, "knock authenticated"), state
         if p.tcp.is_pure_syn and dport == knocks[0]:
-            return KnockVerdict(CONSUME, "knock consumed"), replace(state, stage=1)
-        return KnockVerdict(DROP, "knock drop"), state
+            return Verdict(CONSUMED, "knock consumed"), replace(state, stage=1)
+        return Verdict(DROPPED, "knock drop"), state
 
     if not p.tcp.is_pure_syn:
-        return KnockVerdict(DROP, "knock drop"), state
+        return Verdict(DROPPED, "knock drop"), state
     if dport == knocks[state.stage]:
-        return KnockVerdict(CONSUME, "knock consumed"), replace(state, stage=state.stage + 1)
+        return Verdict(CONSUMED, "knock consumed"), replace(state, stage=state.stage + 1)
     if dport == knocks[0]:
-        return KnockVerdict(CONSUME, "knock consumed"), replace(state, stage=1)
-    return KnockVerdict(DROP, "wrong knock"), replace(state, stage=0)
+        return Verdict(CONSUMED, "knock consumed"), replace(state, stage=1)
+    return Verdict(DROPPED, "wrong knock"), replace(state, stage=0)

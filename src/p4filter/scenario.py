@@ -88,6 +88,13 @@ class ScenarioSpec:
     expect: dict = field(default_factory=dict)
 
 
+def _non_negative(item: dict, name: str, default: int) -> int:
+    value = item.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidScenario(f"{name} must be a non-negative integer: {item!r}")
+    return value
+
+
 def _parse_send(item: dict) -> SendAction:
     flags = item.get("flags", ["SYN"])
     if not isinstance(flags, list):
@@ -102,7 +109,7 @@ def _parse_send(item: dict) -> SendAction:
         src_ip_of=item.get("src_ip_of"),
         src_mac_of=item.get("src_mac_of"),
         repeat=item.get("repeat", 1),
-        gap=item.get("gap", 1),
+        gap=_non_negative(item, "gap", 1),
     )
 
 
@@ -114,7 +121,7 @@ def _parse_knock(item: dict) -> KnockAction:
         dst=item["dst"],
         sequence_of=item.get("sequence_of"),
         order=order,
-        spacing=item.get("spacing", 1),
+        spacing=_non_negative(item, "spacing", 1),
         include_service=item.get("include_service", True),
         src_ip_of=item.get("src_ip_of"),
         src_mac_of=item.get("src_mac_of"),

@@ -16,14 +16,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .bloom import DEFAULT_M
 from .controller import AclEntry, Controller, SequenceStore
 from .packet import Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
 from .scenario import (InvalidScenario, KnockAction, NoSequence,
                        OpenServiceAction, ScenarioSpec, SendAction, knock_client)
-from .switch import CONSUMED, DROPPED
-from .tables import Action, Rule, KIND_IPV4, KIND_MAC
+from .tables import Action, Rule, SchemaMismatch, TableError, KIND_IPV4, KIND_MAC
 from .topology import TopologySpec, build_network, compute_routes
+from .verdict import CONSUMED, DROPPED
 
 COUNTERS = ("sent", "delivered", "dropped", "punted", "consumed")
 
@@ -80,10 +79,11 @@ class Simulator:
     """One network plus its controller, ready to run scenarios."""
 
     def __init__(self, topo: TopologySpec, acl: dict[Ipv4Address, AclEntry],
-                 store: SequenceStore, seed: int, bloom_m: int = DEFAULT_M):
+                 store: SequenceStore, seed: int):
         self.topo = topo
         self.seed = seed
-        self.network = build_network(topo, bloom_m=bloom_m)
+        self._trace: list[dict] = []
+        self.network = build_network(topo, self._trace)
         self.store = store
         self.controller = Controller(
             acl=acl,
@@ -103,10 +103,7 @@ class Simulator:
         self._queue: list[tuple] = []
         self._seq = 0
         self._ephemeral: dict[str, int] = {}
-        self._trace: list[dict] = []
         self._stats = {h.name: dict.fromkeys(COUNTERS, 0) for h in topo.hosts}
-        self._sender: dict[int, str] = {}
-        self._next_pkt_id = 0
 
     # -- scheduling --------------------------------------------------------
 
@@ -121,11 +118,8 @@ class Simulator:
 
     def _inject(self, time: int, sender: str, packet: Packet) -> None:
         host = self.hosts[sender]
-        pkt_id = self._next_pkt_id
-        self._next_pkt_id += 1
-        self._sender[pkt_id] = sender
         self._stats[sender]["sent"] += 1
-        self._push(time, ("packet", pkt_id, host.switch, host.port, packet))
+        self._push(time, ("packet", sender, host.switch, host.port, packet))
 
     def _build_packet(self, sender: str, dst: str, dport: int, sport: int,
                       flags: int, ttl: int, payload: bytes,
@@ -191,13 +185,22 @@ class Simulator:
             if pre.switch not in self.network:
                 raise InvalidScenario(f"preinstall references unknown switch {pre.switch!r}")
             switch = self.network[pre.switch]
-            table = switch.tables[pre.table]
-            key = tuple(
-                _parse_key_field(kind, text)
-                for kind, text in zip(table.schema, pre.key)
-            )
-            action = Action.make(pre.action, **dict(pre.params))
-            switch.apply_rule_install([(pre.table, Rule(key, action))])
+            try:
+                table = switch.tables[pre.table]
+                if len(pre.key) != len(table.schema):
+                    raise SchemaMismatch(
+                        f"{pre.table}: key arity {len(pre.key)}"
+                        f" != schema arity {len(table.schema)}")
+                key = tuple(
+                    _parse_key_field(kind, text)
+                    for kind, text in zip(table.schema, pre.key)
+                )
+                action = Action.make(pre.action, **dict(pre.params))
+                switch.apply_rule_install([(pre.table, Rule(key, action))])
+            except (TableError, ValueError) as e:
+                raise InvalidScenario(
+                    f"bad preinstall rule {pre.table} {list(pre.key)}"
+                    f" on {pre.switch}: {e}") from e
 
     # -- main loop ---------------------------------------------------------
 
@@ -213,45 +216,41 @@ class Simulator:
                 _, sender, action = item
                 self._expand(time, sender, action)
             elif kind == "packet":
-                _, pkt_id, switch_id, ingress_port, packet = item
-                self._process_at_switch(time, pkt_id, switch_id, ingress_port, packet)
+                _, sender, switch_id, ingress_port, packet = item
+                self._process_at_switch(time, sender, switch_id, ingress_port, packet)
             elif kind == "deliver":
-                _, pkt_id, _host = item
-                self._stats[self._sender[pkt_id]]["delivered"] += 1
+                self._stats[item[1]]["delivered"] += 1
 
         return self._report(scenario)
 
-    def _process_at_switch(self, time: int, pkt_id: int, switch_id: str,
+    def _process_at_switch(self, time: int, sender: str, switch_id: str,
                            ingress_port: int, packet: Packet) -> None:
         switch = self.network[switch_id]
         switch.now = time
-        outs = switch.process_packet(ingress_port, packet)
-        record = switch.event_log[-1]
-        self._trace.append(record)
-        sender = self._sender[pkt_id]
+        out = switch.process_packet(ingress_port, packet)
+        stats = self._stats[sender]
 
-        if not outs:
-            if record["verdict"] == DROPPED:
-                self._stats[sender]["dropped"] += 1
-            elif record["verdict"] == CONSUMED:
-                self._stats[sender]["consumed"] += 1
+        if out is None:
+            verdict = self._trace[-1]["verdict"]
+            if verdict == DROPPED:
+                stats["dropped"] += 1
+            elif verdict == CONSUMED:
+                stats["consumed"] += 1
             return
 
-        for out in outs:
-            if out.egress_port == switch.config.cpu_port:
-                installs = self.controller.handle_packet_in(
-                    switch_id, serialize_packet(out.packet))
-                switch.apply_rule_install(installs)
-                self._stats[sender]["punted"] += 1
-                continue
-            dest = self.attach.get((switch_id, out.egress_port))
-            if dest is None:
-                self._stats[sender]["dropped"] += 1
-                continue
-            if dest[0] == "host":
-                self._push(time + 1, ("deliver", pkt_id, dest[1]))
-            else:
-                self._push(time + 1, ("packet", pkt_id, dest[1], dest[2], out.packet))
+        if out.egress_port == switch.config.cpu_port:
+            installs = self.controller.handle_packet_in(
+                switch_id, serialize_packet(out.packet))
+            switch.apply_rule_install(installs)
+            stats["punted"] += 1
+            return
+        dest = self.attach.get((switch_id, out.egress_port))
+        if dest is None:
+            stats["dropped"] += 1
+        elif dest[0] == "host":
+            self._push(time + 1, ("deliver", sender))
+        else:
+            self._push(time + 1, ("packet", sender, dest[1], dest[2], out.packet))
 
     # -- reporting ---------------------------------------------------------
 
@@ -269,7 +268,7 @@ class Simulator:
             seed=self.seed,
             trace=list(self._trace),
             hosts={name: dict(c) for name, c in sorted(self._stats.items())},
-            rules={sid: self.network[sid].dump_rules() for sid in sorted(self.network)},
+            rules={sid: self.network[sid].tables.dump() for sid in sorted(self.network)},
             sequences=self.store.to_json_dict(),
             knock_stages=knock_stages,
         )
@@ -285,9 +284,8 @@ def _parse_key_field(kind: str, text: str):
 
 def run_scenario(topo: TopologySpec, scenario: ScenarioSpec,
                  acl: dict[Ipv4Address, AclEntry], store: SequenceStore,
-                 seed: Optional[int] = None, bloom_m: int = DEFAULT_M) -> RunReport:
+                 seed: Optional[int] = None) -> RunReport:
     """Build a fresh network and run one scenario to completion."""
     sim = Simulator(topo, acl, store,
-                    seed=seed if seed is not None else scenario.seed,
-                    bloom_m=bloom_m)
+                    seed=seed if seed is not None else scenario.seed)
     return sim.run(scenario)

@@ -3,23 +3,13 @@ host opened first, remembered in the Bloom pair."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bloom import BloomPair
 from .packet import Packet, flow_key
 from .tables import Table
+from .verdict import DROPPED, FORWARDED, Verdict
 
 INTERNAL = 0
 EXTERNAL = 1
-
-FORWARD = "Forward"
-DROP = "Drop"
-
-
-@dataclass(frozen=True)
-class StatefulVerdict:
-    kind: str     # Forward | Drop
-    reason: str
 
 
 def classify_direction(ingress_port: int, check_ports: Table) -> int:
@@ -28,7 +18,7 @@ def classify_direction(ingress_port: int, check_ports: Table) -> int:
     return INTERNAL if hit else EXTERNAL
 
 
-def stateful_process(p: Packet, direction: int, pair: BloomPair) -> StatefulVerdict:
+def stateful_process(p: Packet, direction: int, pair: BloomPair) -> Verdict:
     """Run one packet through the flow tracker, mutating the pair in place.
 
     Internal packets always pass; a pure SYN additionally registers its
@@ -38,7 +28,7 @@ def stateful_process(p: Packet, direction: int, pair: BloomPair) -> StatefulVerd
     if direction == INTERNAL:
         if p.tcp.is_pure_syn:
             pair.insert(flow_key(p, INTERNAL))
-        return StatefulVerdict(FORWARD, "stateful forward")
+        return Verdict(FORWARDED, "stateful forward")
     if pair.contains(flow_key(p, EXTERNAL)):
-        return StatefulVerdict(FORWARD, "stateful reply")
-    return StatefulVerdict(DROP, "stateful drop")
+        return Verdict(FORWARDED, "stateful reply")
+    return Verdict(DROPPED, "stateful drop")

@@ -3,24 +3,13 @@ punt unknowns to the controller."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tables
 from .packet import Packet
 from .tables import Table
-
-ALLOW = "Allow"
-DROP = "Drop"
-TO_CONTROLLER = "ToController"
+from .verdict import DROPPED, FORWARDED, PUNTED, Verdict
 
 
-@dataclass(frozen=True)
-class StatelessVerdict:
-    kind: str     # Allow | Drop | ToController
-    reason: str
-
-
-def stateless_check(p: Packet, check_ip: Table, check_mac: Table) -> StatelessVerdict:
+def stateless_check(p: Packet, check_ip: Table, check_mac: Table) -> Verdict:
     """Two-step source check.
 
     check_ip keyed on src IP decides drop / punt / proceed; a proceeding
@@ -29,11 +18,11 @@ def stateless_check(p: Packet, check_ip: Table, check_mac: Table) -> StatelessVe
     """
     ip_action, ip_hit = check_ip.lookup((p.ip.src_ip,))
     if ip_action.kind == tables.DROP:
-        return StatelessVerdict(DROP, "check_ip drop")
+        return Verdict(DROPPED, "check_ip drop")
     if not ip_hit or ip_action.kind == tables.SEND_TO_CONTROLLER:
-        return StatelessVerdict(TO_CONTROLLER, "check_ip punt")
+        return Verdict(PUNTED, "check_ip punt")
 
     mac_action, mac_hit = check_mac.lookup((p.ip.src_ip, p.eth.src_mac))
     if mac_hit and mac_action.kind == tables.SET_ALLOWED:
-        return StatelessVerdict(ALLOW, "stateless allow")
-    return StatelessVerdict(DROP, "check_mac drop")
+        return Verdict(FORWARDED, "stateless allow")
+    return Verdict(DROPPED, "check_mac drop")

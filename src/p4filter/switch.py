@@ -11,17 +11,17 @@ the switch's log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from . import stateful, stateless, tables
 from .bloom import DEFAULT_M, BloomPair
 from .knocking import KnockSequence, KnockState, knock_step
-from .knocking import CONSUME as K_CONSUME, FORWARD as K_FORWARD
 from .packet import Ipv4Address, Packet, TtlExpired, decrement_ttl
 from .tables import (
     Rule, TableSet,
     KIND_IPV4, KIND_MAC, KIND_PORT, KIND_PORT_ID,
 )
+from .verdict import DROPPED, FORWARDED, PUNTED, Verdict
 
 CPU_PORT = 55
 
@@ -29,12 +29,6 @@ FEAT_STATELESS = "Stateless"
 FEAT_STATEFUL = "Stateful"
 FEAT_KNOCKING = "Knocking"
 FEATURES = {FEAT_STATELESS, FEAT_STATEFUL, FEAT_KNOCKING}
-
-# Event verdicts
-FORWARDED = "Forwarded"
-DROPPED = "Dropped"
-PUNTED = "Punted"
-CONSUMED = "Consumed"
 
 # Pipeline stage names used in event records
 STAGE_PRESENT = "present"
@@ -79,14 +73,15 @@ class P4Switch:
 
     All mutation happens through process_packet and apply_rule_install,
     called sequentially by the owning event loop. `now` is stamped by that
-    loop before each call so event records carry simulation time.
+    loop before each call so event records carry simulation time. The
+    switches of one network share a single event log, passed in here.
     """
 
-    def __init__(self, config: SwitchConfig, bloom_m: int = DEFAULT_M):
+    def __init__(self, config: SwitchConfig, event_log: Optional[list] = None):
         self.config = config
         self.now = 0
-        self.event_log: list[dict] = []
-        self.blooms = BloomPair.sized(bloom_m)
+        self.event_log: list[dict] = [] if event_log is None else event_log
+        self.blooms = BloomPair.sized(DEFAULT_M)
         self.knock_states: dict[Ipv4Address, KnockState] = {}
         self.pending_punts: set[Ipv4Address] = set()
         self._knock_staging: dict[Ipv4Address, dict[int, int]] = {}
@@ -106,8 +101,8 @@ class P4Switch:
 
     # -- event log ---------------------------------------------------------
 
-    def _log(self, verdict: str, stage: str, p: Packet, reason: str) -> dict:
-        record = {
+    def _log(self, verdict: str, stage: str, p: Packet, reason: str) -> None:
+        self.event_log.append({
             "time": self.now,
             "switch": self.config.switch_id,
             "verdict": verdict,
@@ -117,20 +112,23 @@ class P4Switch:
             "sport": p.tcp.src_port,
             "dport": p.tcp.dst_port,
             "reason": reason,
-        }
-        self.event_log.append(record)
-        return record
+        })
 
     # -- pipeline ----------------------------------------------------------
 
-    def _punt(self, p: Packet, stage: str, reason: str) -> list[PacketOut]:
-        src = p.ip.src_ip
-        if src in self.pending_punts:
-            self._log(DROPPED, stage, p, "punt pending")
-            return []
-        self.pending_punts.add(src)
-        self._log(PUNTED, stage, p, reason)
-        return [PacketOut(self.config.cpu_port, p)]
+    def _stop(self, stage: str, p: Packet, verdict: Verdict) -> Optional[PacketOut]:
+        """End the packet's trip at `stage`. A punt leaves through the CPU
+        port unless one from the same source is still unanswered, in which
+        case the packet is dropped as `punt pending`."""
+        if verdict.kind == PUNTED:
+            if p.ip.src_ip in self.pending_punts:
+                verdict = Verdict(DROPPED, "punt pending")
+            else:
+                self.pending_punts.add(p.ip.src_ip)
+                self._log(PUNTED, stage, p, verdict.reason)
+                return PacketOut(self.config.cpu_port, p)
+        self._log(verdict.kind, stage, p, verdict.reason)
+        return None
 
     def _egress_is_internal(self, dst_ip: Ipv4Address) -> bool:
         action, hit = self.tables["ipv4_forward"].lookup((dst_ip,))
@@ -140,29 +138,26 @@ class P4Switch:
         _, internal = self.tables["check_ports"].lookup((port,))
         return internal
 
-    def process_packet(self, ingress_port: int, p: Packet) -> list[PacketOut]:
+    def process_packet(self, ingress_port: int, p: Packet) -> Optional[PacketOut]:
+        """The packet's one output, or None when it is dropped or consumed
+        here; either way exactly one record is logged."""
         if ingress_port not in self.config.ports:
             raise UnknownPort(f"{self.config.switch_id}: no port {ingress_port}")
         features = self.config.features
 
-        # 1. presence check on the source
+        # 1. presence check on the source; SetAllowed / NoAction continue
         action, _ = self.tables["present_table"].lookup((p.ip.src_ip,))
         if action.kind == tables.SEND_TO_CONTROLLER:
-            return self._punt(p, STAGE_PRESENT, "present_table punt")
+            return self._stop(STAGE_PRESENT, p, Verdict(PUNTED, "present_table punt"))
         if action.kind == tables.DROP:
-            self._log(DROPPED, STAGE_PRESENT, p, "present_table drop")
-            return []
-        # SetAllowed / NoAction: continue
+            return self._stop(STAGE_PRESENT, p, Verdict(DROPPED, "present_table drop"))
 
         # 2. stateless firewall
         if FEAT_STATELESS in features:
             verdict = stateless.stateless_check(
                 p, self.tables["check_ip"], self.tables["check_mac"])
-            if verdict.kind == stateless.TO_CONTROLLER:
-                return self._punt(p, STAGE_STATELESS, verdict.reason)
-            if verdict.kind == stateless.DROP:
-                self._log(DROPPED, STAGE_STATELESS, p, verdict.reason)
-                return []
+            if verdict.kind != FORWARDED:
+                return self._stop(STAGE_STATELESS, p, verdict)
 
         # 3. stateful firewall; traffic staying inside the protected side
         #    never consults or grows the flow state
@@ -172,37 +167,29 @@ class P4Switch:
                       and self._egress_is_internal(p.ip.dst_ip))
             if not bypass:
                 verdict = stateful.stateful_process(p, direction, self.blooms)
-                if verdict.kind == stateful.DROP:
-                    self._log(DROPPED, STAGE_STATEFUL, p, verdict.reason)
-                    return []
+                if verdict.kind != FORWARDED:
+                    return self._stop(STAGE_STATEFUL, p, verdict)
 
         # 4. port knocking
         if FEAT_KNOCKING in features:
             state = self.knock_states.get(p.ip.src_ip)
             if state is None:
-                self._log(DROPPED, STAGE_KNOCKING, p, "no knock state")
-                return []
+                return self._stop(STAGE_KNOCKING, p, Verdict(DROPPED, "no knock state"))
             verdict, new_state = knock_step(state, p)
             self.knock_states[p.ip.src_ip] = new_state
-            if verdict.kind == K_CONSUME:
-                self._log(CONSUMED, STAGE_KNOCKING, p, verdict.reason)
-                return []
-            if verdict.kind != K_FORWARD:
-                self._log(DROPPED, STAGE_KNOCKING, p, verdict.reason)
-                return []
+            if verdict.kind != FORWARDED:
+                return self._stop(STAGE_KNOCKING, p, verdict)
 
         # 5. IPv4 forwarding
         action, _ = self.tables["ipv4_forward"].lookup((p.ip.dst_ip,))
         if action.kind != tables.FORWARD:
-            self._log(DROPPED, STAGE_FORWARD, p, "no route")
-            return []
+            return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "no route"))
         try:
             out = decrement_ttl(p)
         except TtlExpired:
-            self._log(DROPPED, STAGE_FORWARD, p, "ttl expired")
-            return []
+            return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "ttl expired"))
         self._log(FORWARDED, STAGE_FORWARD, p, "forwarded")
-        return [PacketOut(action.param_dict["port"], out)]
+        return PacketOut(action.param_dict["port"], out)
 
     # -- control plane -----------------------------------------------------
 
@@ -231,6 +218,3 @@ class P4Switch:
                 current = self.knock_states.get(ip)
                 if current is None or current.seq != seq:
                     self.knock_states[ip] = KnockState(owner_ip=ip, seq=seq, stage=0)
-
-    def dump_rules(self) -> list[dict]:
-        return self.tables.dump()

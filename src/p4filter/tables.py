@@ -99,7 +99,6 @@ def no_action() -> Action:
 class Rule:
     key: tuple
     action: Action
-    priority: int = 0   # audit ordering only; keys are unique per table
 
 
 @dataclass
@@ -177,21 +176,8 @@ class TableSet:
             raise NotFound(f"no table named {name!r}")
         return self._tables[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tables
-
-    def names(self) -> list[str]:
-        return list(self._tables)
-
     def dump(self) -> list[dict]:
         out = []
         for name in sorted(self._tables):
             out.extend(self._tables[name].dump())
         return out
-
-
-def dump_jsonl(tables: TableSet) -> str:
-    """Rule dump as JSON lines, one rule per line."""
-    import json
-
-    return "\n".join(json.dumps(entry, sort_keys=True) for entry in tables.dump())

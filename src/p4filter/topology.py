@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .packet import Ipv4Address, MacAddr
 from .switch import FEAT_KNOCKING, P4Switch, SwitchConfig
 from .tables import Rule, forward
-from .bloom import DEFAULT_M
 
 
 class InvalidTopology(Exception):
@@ -47,14 +46,14 @@ class TopologySpec:
     hosts: tuple[HostSpec, ...]
     links: tuple[Link, ...]
 
-    def switch_map(self) -> dict[str, SwitchConfig]:
-        return {s.switch_id: s for s in self.switches}
-
     def host_by_name(self) -> dict[str, HostSpec]:
         return {h.name: h for h in self.hosts}
 
-    def host_by_ip(self) -> dict[Ipv4Address, HostSpec]:
-        return {h.ip: h for h in self.hosts}
+
+def _check_port(port, what: str) -> None:
+    # bool is an int subclass, and True would pass for port 1
+    if not isinstance(port, int) or isinstance(port, bool):
+        raise InvalidTopology(f"{what}: port {port!r} is not an integer")
 
 
 def parse_topology(obj) -> TopologySpec:
@@ -76,6 +75,9 @@ def parse_topology(obj) -> TopologySpec:
             ))
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidTopology(f"bad switch entry {item!r}: {e}") from e
+        config = switches[-1]
+        for port in (*config.ports, *config.internal_ports, config.cpu_port):
+            _check_port(port, f"switch {config.switch_id}")
     ids = [s.switch_id for s in switches]
     if len(set(ids)) != len(ids):
         raise InvalidTopology("duplicate switch ids")
@@ -112,6 +114,7 @@ def parse_topology(obj) -> TopologySpec:
     used: set[tuple[str, int]] = set()
 
     def claim(switch_id: str, port, what: str) -> None:
+        _check_port(port, what)
         if switch_id not in by_id:
             raise InvalidTopology(f"{what} references unknown switch {switch_id!r}")
         if port not in by_id[switch_id].ports:
@@ -205,12 +208,13 @@ def compute_routes(spec: TopologySpec) -> dict[str, dict[Ipv4Address, int]]:
     return routes
 
 
-def build_network(spec: TopologySpec, bloom_m: int = DEFAULT_M) -> dict[str, P4Switch]:
-    """Instantiate every switch; non-knocking switches get static routes."""
+def build_network(spec: TopologySpec, trace: list) -> dict[str, P4Switch]:
+    """Instantiate every switch, all logging into `trace`; non-knocking
+    switches get static routes."""
     routes = compute_routes(spec)
     network: dict[str, P4Switch] = {}
     for config in spec.switches:
-        sw = P4Switch(config, bloom_m=bloom_m)
+        sw = P4Switch(config, trace)
         if FEAT_KNOCKING not in config.features:
             installs = [
                 ("ipv4_forward", Rule((ip,), forward(egress)))

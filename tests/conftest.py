@@ -9,6 +9,9 @@ from p4filter.packet import make_packet
 from p4filter.scenario import load_scenario
 from p4filter.sim import Simulator
 from p4filter.topology import load_topology
+from p4filter.verdict import CONSUMED, DROPPED, FORWARDED
+
+import knock_reference
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -41,6 +44,20 @@ def syn(src="10.0.1.1", dst="10.0.9.9", sport=1000, dport=80,
         src_mac="02:00:00:00:01:01", dst_mac="02:00:00:00:09:09", **kw):
     return make_packet(src_ip=src, dst_ip=dst, src_mac=src_mac, dst_mac=dst_mac,
                        sport=sport, dport=dport, **kw)
+
+
+_REFERENCE_LABELS = {
+    CONSUMED: knock_reference.CONSUME,
+    FORWARDED: knock_reference.FORWARD,
+    DROPPED: knock_reference.DROP,
+}
+
+
+def reference_label(kind):
+    """knock_reference's label for a knock_step verdict kind."""
+    if kind not in _REFERENCE_LABELS:
+        raise ValueError(f"verdict kind {kind!r} has no knock_reference label")
+    return _REFERENCE_LABELS[kind]
 
 
 def fixture_json(name):

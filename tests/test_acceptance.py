@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from conftest import run_bundled
+from conftest import reference_label, run_bundled
 from knock_reference import reference_run
 from p4filter.bloom import BloomPair
 from p4filter.bundled import SCENARIOS
@@ -219,7 +219,7 @@ def test_criterion_7_knock_fsm_oracle():
             moves = []
             for dport in string:
                 verdict, state = knock_step(state, probe[dport])
-                moves.append((verdict.kind, state.stage))
+                moves.append((reference_label(verdict.kind), state.stage))
             expected = reference_run([(dport, True) for dport in string],
                                      knocks=knocks, service=service)
             assert moves == expected, string

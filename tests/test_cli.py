@@ -18,6 +18,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_scenario_obj(tmp_path, scenario):
+    """Exit code of `p4filter run` on a scenario written to tmp_path."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return run_cli("run", "--topology", default_topology_path(),
+                   "--scenario", str(path))
+
+
 class TestValidate:
     def test_valid_topology(self, capsys):
         assert run_cli("validate", "--topology",
@@ -137,6 +145,43 @@ class TestRun:
                        "--scenario", scenario_path("knock_auth"),
                        "--store", str(store))
         assert code == 2
+
+
+class TestScenarioInputErrors:
+    """Scenario values the parser or the preinstall step must refuse by
+    name, so the run exits 2 instead of scheduling or crashing."""
+
+    def test_negative_gap_exits_two(self, tmp_path, capsys):
+        code = run_scenario_obj(tmp_path, {"events": [
+            {"time": 5, "host": "h1", "action": "send", "dst": "h3",
+             "dport": 80, "repeat": 3, "gap": -5}]})
+        assert code == 2
+        assert "gap must be a non-negative integer" in capsys.readouterr().err
+
+    def test_negative_spacing_exits_two(self, tmp_path, capsys):
+        code = run_scenario_obj(tmp_path, {"events": [
+            {"time": 10, "host": "h2", "action": "knock", "dst": "h7",
+             "spacing": -3}]})
+        assert code == 2
+        assert ("spacing must be a non-negative integer"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("rule", [
+        {"switch": "s1", "table": "no_such_table", "key": ["10.0.1.1"],
+         "action": "Drop"},
+        {"switch": "s2", "table": "check_ip", "key": ["10.0.1.999"],
+         "action": "Drop"},
+        {"switch": "s2", "table": "check_mac", "key": ["10.0.1.1"],
+         "action": "Drop"},
+        {"switch": "s2", "table": "check_ip", "key": ["10.0.1.1", "x"],
+         "action": "Drop"},
+    ], ids=["unknown-table", "bad-key-field", "short-key", "long-key"])
+    def test_bad_preinstall_rule_exits_two(self, tmp_path, capsys, rule):
+        code = run_scenario_obj(tmp_path, {"events": [],
+                                           "preinstall": [rule]})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad preinstall rule {rule['table']} {rule['key']}" in err
 
 
 class TestEntryPoint:

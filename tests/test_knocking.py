@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_label
 from knock_reference import reference_run
-from p4filter.knocking import (CONSUME, DROP, FORWARD, KnockSequence,
-                               KnockState, OwnerMismatch, knock_step)
+from p4filter.knocking import (KnockSequence, KnockState, OwnerMismatch,
+                               knock_step)
 from p4filter.packet import Ipv4Address, make_packet, tcp_flags
+from p4filter.verdict import CONSUMED, DROPPED, FORWARDED
 
 OWNER = "10.0.1.2"
 SEQ = KnockSequence(knock_ports=(2222, 3333, 4444), service_port=22)
@@ -66,8 +68,8 @@ class TestHappyPath:
     def test_correct_sequence_opens_service(self):
         moves, state = run(fresh(), [(2222, "SYN"), (3333, "SYN"),
                                      (4444, "SYN"), (22, "SYN")])
-        assert moves == [(CONSUME, 1), (CONSUME, 2), (CONSUME, 3),
-                         (FORWARD, 3)]
+        assert moves == [(CONSUMED, 1), (CONSUMED, 2), (CONSUMED, 3),
+                         (FORWARDED, 3)]
         assert state.stage == 3
 
     def test_high_port_sequence(self):
@@ -76,14 +78,14 @@ class TestHappyPath:
         moves, _ = run(fresh(seq=seq),
                        [(59275, "SYN"), (10989, "SYN"), (18698, "SYN"),
                         (22, "SYN")])
-        assert [kind for kind, _ in moves] == [CONSUME, CONSUME, CONSUME,
-                                               FORWARD]
+        assert [kind for kind, _ in moves] == [CONSUMED, CONSUMED, CONSUMED,
+                                               FORWARDED]
 
     def test_service_stays_open(self):
         _, state = run(fresh(), [(2222, "SYN"), (3333, "SYN"), (4444, "SYN")])
         for flags in ("SYN", "ACK", "PSH|ACK", "FIN|ACK"):
             verdict, state = knock_step(state, probe(22, flags))
-            assert verdict.kind == FORWARD
+            assert verdict.kind == FORWARDED
             assert verdict.reason == "knock authenticated"
             assert state.stage == 3
 
@@ -91,7 +93,7 @@ class TestHappyPath:
         state = fresh()
         for dport in (2222, 3333, 4444):
             verdict, state = knock_step(state, probe(dport))
-            assert verdict.kind == CONSUME
+            assert verdict.kind == CONSUMED
             assert verdict.reason == "knock consumed"
 
 
@@ -104,48 +106,48 @@ class TestWrongOrder:
     def test_out_of_order_never_authenticates(self, order):
         probes = [(port, "SYN") for port in order] + [(22, "SYN")]
         moves, state = run(fresh(), probes)
-        assert moves[-1][0] == DROP
+        assert moves[-1][0] == DROPPED
         assert state.stage != 3
 
     def test_wrong_knock_resets_to_zero(self):
         moves, _ = run(fresh(), [(2222, "SYN"), (4444, "SYN")])
-        assert moves == [(CONSUME, 1), (DROP, 0)]
+        assert moves == [(CONSUMED, 1), (DROPPED, 0)]
 
     def test_early_service_probe_resets(self):
         moves, _ = run(fresh(), [(2222, "SYN"), (3333, "SYN"), (22, "SYN")])
-        assert moves[-1] == (DROP, 0)
+        assert moves[-1] == (DROPPED, 0)
 
     def test_unrelated_port_resets(self):
         moves, _ = run(fresh(), [(2222, "SYN"), (9999, "SYN")])
-        assert moves[-1] == (DROP, 0)
+        assert moves[-1] == (DROPPED, 0)
         _, state = run(fresh(stage=2), [(12345, "SYN")])
         assert state.stage == 0
 
     def test_reset_requires_restart_from_first_knock(self):
         moves, _ = run(fresh(), [(2222, "SYN"), (4444, "SYN"),
                                  (3333, "SYN"), (4444, "SYN"), (22, "SYN")])
-        assert moves[-1][0] == DROP
+        assert moves[-1][0] == DROPPED
 
 
 class TestFirstKnockRestart:
     @pytest.mark.parametrize("stage", [0, 1, 2, 3])
     def test_first_knock_starts_fresh_attempt(self, stage):
         verdict, state = knock_step(fresh(stage=stage), probe(2222))
-        assert verdict.kind == CONSUME and state.stage == 1
+        assert verdict.kind == CONSUMED and state.stage == 1
 
     def test_reauthentication_from_open_state(self):
         _, state = run(fresh(), [(2222, "SYN"), (3333, "SYN"), (4444, "SYN")])
         assert state.stage == 3
         moves, state = run(state, [(2222, "SYN"), (3333, "SYN"),
                                    (4444, "SYN"), (22, "SYN")])
-        assert moves == [(CONSUME, 1), (CONSUME, 2), (CONSUME, 3),
-                         (FORWARD, 3)]
+        assert moves == [(CONSUMED, 1), (CONSUMED, 2), (CONSUMED, 3),
+                         (FORWARDED, 3)]
 
     def test_double_first_knock_stays_at_one(self):
         moves, _ = run(fresh(), [(2222, "SYN"), (2222, "SYN"), (3333, "SYN"),
                                  (4444, "SYN"), (22, "SYN")])
-        assert moves == [(CONSUME, 1), (CONSUME, 1), (CONSUME, 2),
-                         (CONSUME, 3), (FORWARD, 3)]
+        assert moves == [(CONSUMED, 1), (CONSUMED, 1), (CONSUMED, 2),
+                         (CONSUMED, 3), (FORWARDED, 3)]
 
 
 class TestNonSynTraffic:
@@ -154,19 +156,19 @@ class TestNonSynTraffic:
         for flags in ("ACK", "SYN|ACK", "RST", "FIN"):
             verdict, state = knock_step(fresh(stage=stage),
                                         probe(2222, flags))
-            assert verdict.kind == DROP
+            assert verdict.kind == DROPPED
             assert verdict.reason == "knock drop"
             assert state.stage == stage
 
     def test_non_syn_to_service_before_auth_drops(self):
         verdict, state = knock_step(fresh(stage=2), probe(22, "ACK"))
-        assert verdict.kind == DROP and state.stage == 2
+        assert verdict.kind == DROPPED and state.stage == 2
 
     def test_stage3_non_syn_non_service_drops_keeping_stage(self):
         verdict, state = knock_step(fresh(stage=3), probe(2222, "ACK"))
-        assert verdict.kind == DROP and state.stage == 3
+        assert verdict.kind == DROPPED and state.stage == 3
         verdict, state = knock_step(fresh(stage=3), probe(9999, "PSH|ACK"))
-        assert verdict.kind == DROP and state.stage == 3
+        assert verdict.kind == DROPPED and state.stage == 3
 
 
 class TestOwnership:
@@ -197,7 +199,7 @@ class TestReferenceEquivalence:
         for dport, pure_syn in string:
             verdict, state = knock_step(
                 state, probe(dport, "SYN" if pure_syn else "ACK"))
-            got.append((verdict.kind, state.stage))
+            got.append((reference_label(verdict.kind), state.stage))
         expected = reference_run(string, knocks=(2222, 3333, 4444),
                                  service=22)
         assert got == expected
@@ -212,7 +214,7 @@ class TestReferenceEquivalence:
         for dport, pure_syn in string:
             verdict, state = knock_step(
                 state, probe(dport, "SYN" if pure_syn else "PSH|ACK"))
-            got.append((verdict.kind, state.stage))
+            got.append((reference_label(verdict.kind), state.stage))
         expected = reference_run(string, knocks=(2222, 3333, 4444),
                                  service=22, stage=stage)
         assert got == expected
@@ -228,5 +230,5 @@ class TestReferenceEquivalence:
             before = state.stage
             verdict, state = knock_step(
                 state, probe(dport, "SYN" if pure_syn else "ACK"))
-            if verdict.kind == FORWARD:
+            if verdict.kind == FORWARDED:
                 assert before == 3 and dport == 22

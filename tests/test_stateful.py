@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from p4filter import tables as tb
 from p4filter.bloom import BloomPair
 from p4filter.packet import flow_key, make_packet, tcp_flags
-from p4filter.stateful import (DROP, EXTERNAL, FORWARD, INTERNAL,
-                               classify_direction, stateful_process)
+from p4filter.stateful import (EXTERNAL, INTERNAL, classify_direction,
+                               stateful_process)
+from p4filter.verdict import DROPPED, FORWARDED
 
 INSIDE_IP = "10.0.1.1"
 OUTSIDE_IP = "10.0.5.3"
@@ -53,21 +54,21 @@ class TestHandshake:
     def test_outbound_syn_registers_and_forwards(self):
         pair = BloomPair()
         v = stateful_process(outbound("SYN"), INTERNAL, pair)
-        assert v.kind == FORWARD and v.reason == "stateful forward"
+        assert v.kind == FORWARDED and v.reason == "stateful forward"
         assert pair.contains(flow_key(outbound(), INTERNAL))
 
     def test_reply_admitted_after_syn(self):
         pair = BloomPair()
         stateful_process(outbound("SYN"), INTERNAL, pair)
         v = stateful_process(inbound("SYN|ACK"), EXTERNAL, pair)
-        assert v.kind == FORWARD and v.reason == "stateful reply"
+        assert v.kind == FORWARDED and v.reason == "stateful reply"
 
     def test_unsolicited_inbound_dropped(self):
         pair = BloomPair()
         v = stateful_process(inbound("SYN"), EXTERNAL, pair)
-        assert v.kind == DROP and v.reason == "stateful drop"
+        assert v.kind == DROPPED and v.reason == "stateful drop"
         v = stateful_process(inbound("ACK"), EXTERNAL, pair)
-        assert v.kind == DROP
+        assert v.kind == DROPPED
 
     def test_same_hosts_different_ports_not_admitted(self):
         """State is per 4-tuple: an open 1000<->80 flow does not admit
@@ -75,15 +76,15 @@ class TestHandshake:
         pair = BloomPair()
         stateful_process(outbound("SYN", sport=1000), INTERNAL, pair)
         v = stateful_process(inbound(sport=80, dport=2000), EXTERNAL, pair)
-        assert v.kind == DROP
+        assert v.kind == DROPPED
 
     def test_outbound_non_syn_forwards_without_registering(self):
         pair = BloomPair()
         v = stateful_process(outbound("ACK"), INTERNAL, pair)
-        assert v.kind == FORWARD
+        assert v.kind == FORWARDED
         assert pair.f1.popcount() == 0
         v = stateful_process(inbound(), EXTERNAL, pair)
-        assert v.kind == DROP
+        assert v.kind == DROPPED
 
     def test_syn_ack_outbound_does_not_register(self):
         """SYN+ACK is not a pure SYN; only connection opens create state."""
@@ -110,7 +111,7 @@ class TestFalsePositiveBehaviour:
                 break
         assert found is not None, "no double collision in 60k probes"
         v = stateful_process(found, EXTERNAL, pair)
-        assert v.kind == FORWARD and v.reason == "stateful reply"
+        assert v.kind == FORWARDED and v.reason == "stateful reply"
 
     def test_single_filter_collision_still_dropped(self):
         """A key colliding in only one filter must be rejected — the AND is
@@ -130,7 +131,7 @@ class TestFalsePositiveBehaviour:
                 break
         assert found is not None
         v = stateful_process(found, EXTERNAL, pair)
-        assert v.kind == DROP
+        assert v.kind == DROPPED
 
 
 class TestProperties:
@@ -158,7 +159,7 @@ class TestProperties:
         for sport, dport in flows:
             v = stateful_process(inbound("ACK", sport=dport, dport=sport),
                                  EXTERNAL, pair)
-            assert v.kind == FORWARD
+            assert v.kind == FORWARDED
 
     def test_reply_key_is_reversed_initiator_key(self):
         """flow_key(outbound, 0) and flow_key(matching reply, 1) agree, so

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from p4filter import tables as tb
 from p4filter.packet import Ipv4Address, MacAddr, make_packet
-from p4filter.stateless import (ALLOW, DROP, TO_CONTROLLER, stateless_check)
+from p4filter.stateless import stateless_check
+from p4filter.verdict import DROPPED, FORWARDED, PUNTED
 
 H2_IP = "10.0.1.2"
 H2_MAC = "02:00:00:00:01:02"
@@ -35,18 +36,18 @@ class TestVerdicts:
         check_ip, check_mac = firewall_tables
         allow_host(check_ip, check_mac, H2_IP, H2_MAC)
         v = stateless_check(packet_from(H2_IP, H2_MAC), check_ip, check_mac)
-        assert v.kind == ALLOW and v.reason == "stateless allow"
+        assert v.kind == FORWARDED and v.reason == "stateless allow"
 
     def test_unknown_source_punted(self, firewall_tables):
         check_ip, check_mac = firewall_tables
         v = stateless_check(packet_from(H2_IP, H2_MAC), check_ip, check_mac)
-        assert v.kind == TO_CONTROLLER and v.reason == "check_ip punt"
+        assert v.kind == PUNTED and v.reason == "check_ip punt"
 
     def test_denied_source_dropped(self, firewall_tables):
         check_ip, check_mac = firewall_tables
         check_ip.insert(tb.Rule((Ipv4Address.from_text(H2_IP),), tb.drop()))
         v = stateless_check(packet_from(H2_IP, H2_MAC), check_ip, check_mac)
-        assert v.kind == DROP and v.reason == "check_ip drop"
+        assert v.kind == DROPPED and v.reason == "check_ip drop"
 
     def test_known_ip_wrong_mac_dropped(self, firewall_tables):
         """A spoofer borrowing an allowed IP without its MAC is dropped, not
@@ -54,7 +55,7 @@ class TestVerdicts:
         check_ip, check_mac = firewall_tables
         allow_host(check_ip, check_mac, H2_IP, H2_MAC)
         v = stateless_check(packet_from(H2_IP, OTHER_MAC), check_ip, check_mac)
-        assert v.kind == DROP and v.reason == "check_mac drop"
+        assert v.kind == DROPPED and v.reason == "check_mac drop"
 
     def test_mac_binding_is_per_ip(self, firewall_tables):
         """The same MAC talking from an unregistered IP does not inherit the
@@ -63,7 +64,7 @@ class TestVerdicts:
         allow_host(check_ip, check_mac, H2_IP, H2_MAC)
         v = stateless_check(packet_from("10.0.1.9", H2_MAC),
                             check_ip, check_mac)
-        assert v.kind == TO_CONTROLLER
+        assert v.kind == PUNTED
 
     def test_destination_never_consulted(self, firewall_tables):
         """Only the source addresses matter; a denied IP in the destination
@@ -73,7 +74,7 @@ class TestVerdicts:
         check_ip.insert(tb.Rule((Ipv4Address.from_text("10.0.5.1"),),
                                 tb.drop()))
         v = stateless_check(packet_from(H2_IP, H2_MAC), check_ip, check_mac)
-        assert v.kind == ALLOW
+        assert v.kind == FORWARDED
 
 
 class TestProperties:
@@ -94,7 +95,7 @@ class TestProperties:
             check_ip.insert(tb.Rule((Ipv4Address.from_text(ip),),
                                     tb.set_allowed()))
         v = stateless_check(packet_from(ip, mac), check_ip, check_mac)
-        assert v.kind != ALLOW
+        assert v.kind != FORWARDED
 
     @given(st.integers(0, 255))
     @settings(max_examples=50)
@@ -110,4 +111,4 @@ class TestProperties:
         allow_host(check_ip, check_mac, ip, H2_MAC)
         check_ip.insert(tb.Rule((Ipv4Address.from_text(ip),), tb.drop()))
         v = stateless_check(packet_from(ip, H2_MAC), check_ip, check_mac)
-        assert v.kind == DROP and v.reason == "check_ip drop"
+        assert v.kind == DROPPED and v.reason == "check_ip drop"

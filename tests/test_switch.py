@@ -54,22 +54,22 @@ class TestPlainForwarder:
         sw = switch()
         route(sw, D_IP, 3)
         out = sw.process_packet(1, pkt(ttl=64))
-        assert len(out) == 1 and out[0].egress_port == 3
-        assert out[0].packet.ip.ttl == 63
+        assert out.egress_port == 3
+        assert out.packet.ip.ttl == 63
 
     def test_ttl_checksum_recomputed(self):
         sw = switch()
         route(sw, D_IP, 3)
         original = parse_packet(serialize_packet(pkt(ttl=64)))
         out = sw.process_packet(1, original)
-        forwarded = out[0].packet
+        forwarded = out.packet
         # the emitted header must checksum to zero when re-verified
         assert parse_packet(serialize_packet(forwarded)).ip.ttl == 63
         assert forwarded.ip.header_checksum != original.ip.header_checksum
 
     def test_no_route_drops(self):
         sw = switch()
-        assert sw.process_packet(1, pkt()) == []
+        assert sw.process_packet(1, pkt()) is None
         assert sw.event_log[-1]["verdict"] == "Dropped"
         assert sw.event_log[-1]["reason"] == "no route"
         assert sw.event_log[-1]["stage"] == "forward"
@@ -77,7 +77,7 @@ class TestPlainForwarder:
     def test_expired_ttl_drops(self):
         sw = switch()
         route(sw, D_IP, 3)
-        assert sw.process_packet(1, pkt(ttl=0)) == []
+        assert sw.process_packet(1, pkt(ttl=0)) is None
         assert sw.event_log[-1]["reason"] == "ttl expired"
 
     def test_unknown_ingress_port_raises(self):
@@ -91,7 +91,7 @@ class TestPlainForwarder:
         sw = switch()
         route(sw, D_IP, 3)
         out = sw.process_packet(1, pkt())
-        assert out[0].egress_port == 3
+        assert out.egress_port == 3
         assert all(e["verdict"] != "Punted" for e in sw.event_log)
 
 
@@ -100,7 +100,7 @@ class TestPuntOnce:
         sw = switch(features=[FEAT_KNOCKING])
         p = pkt()
         out = sw.process_packet(1, p)
-        assert out == [(CPU_PORT, p)]
+        assert out == (CPU_PORT, p)
         assert sw.event_log[-1] == {
             "time": 0, "switch": "s9", "verdict": "Punted",
             "stage": "present", "src": A_IP, "dst": D_IP,
@@ -111,7 +111,7 @@ class TestPuntOnce:
         sw = switch(features=[FEAT_KNOCKING])
         sw.process_packet(1, pkt())
         out = sw.process_packet(1, pkt(sport=40001))
-        assert out == []
+        assert out is None
         assert sw.event_log[-1]["verdict"] == "Dropped"
         assert sw.event_log[-1]["reason"] == "punt pending"
 
@@ -119,7 +119,7 @@ class TestPuntOnce:
         sw = switch(features=[FEAT_KNOCKING])
         sw.process_packet(1, pkt(src_ip=A_IP))
         out = sw.process_packet(2, pkt(src_ip=B_IP, src_mac=B_MAC))
-        assert out and out[0].egress_port == CPU_PORT
+        assert out is not None and out.egress_port == CPU_PORT
 
     def test_present_install_clears_pending(self):
         sw = switch(features=[FEAT_KNOCKING])
@@ -134,7 +134,7 @@ class TestPuntOnce:
         sw.apply_rule_install([("present_table",
                                 tb.Rule((ip(A_IP),), tb.drop()))])
         for _ in range(3):
-            assert sw.process_packet(1, pkt()) == []
+            assert sw.process_packet(1, pkt()) is None
             assert sw.event_log[-1]["reason"] == "present_table drop"
 
 
@@ -142,14 +142,14 @@ class TestStatelessStage:
     def test_unknown_source_punts_from_check_ip(self):
         sw = switch(features=[FEAT_STATELESS])
         out = sw.process_packet(1, pkt())
-        assert out and out[0].egress_port == CPU_PORT
+        assert out is not None and out.egress_port == CPU_PORT
         assert sw.event_log[-1]["stage"] == "stateless"
         assert sw.event_log[-1]["reason"] == "check_ip punt"
 
     def test_denied_source_drops(self):
         sw = switch(features=[FEAT_STATELESS])
         sw.tables["check_ip"].insert(tb.Rule((ip(A_IP),), tb.drop()))
-        assert sw.process_packet(1, pkt()) == []
+        assert sw.process_packet(1, pkt()) is None
         assert sw.event_log[-1]["reason"] == "check_ip drop"
 
     def test_allowed_source_forwards(self):
@@ -157,13 +157,13 @@ class TestStatelessStage:
         allow_stateless(sw, A_IP, A_MAC)
         route(sw, D_IP, 3)
         out = sw.process_packet(1, pkt())
-        assert out[0].egress_port == 3
+        assert out.egress_port == 3
 
     def test_wrong_mac_drops(self):
         sw = switch(features=[FEAT_STATELESS])
         allow_stateless(sw, A_IP, A_MAC)
         route(sw, D_IP, 3)
-        assert sw.process_packet(1, pkt(src_mac=B_MAC)) == []
+        assert sw.process_packet(1, pkt(src_mac=B_MAC)) is None
         assert sw.event_log[-1]["reason"] == "check_mac drop"
 
 
@@ -180,17 +180,17 @@ class TestStatefulStage:
         reply = make_packet(src_mac=D_MAC, dst_mac=A_MAC, src_ip=D_IP,
                             dst_ip=A_IP, sport=80, dport=40000,
                             flags=tcp_flags("SYN", "ACK"))
-        assert sw.process_packet(3, reply) == []
+        assert sw.process_packet(3, reply) is None
         assert sw.event_log[-1]["reason"] == "stateful drop"
         sw.process_packet(1, pkt())                      # opens the flow
         out = sw.process_packet(3, reply)
-        assert out and out[0].egress_port == 1
+        assert out is not None and out.egress_port == 1
 
     def test_internal_to_internal_bypasses_flow_state(self):
         sw = self.setup_switch()
         before = (sw.blooms.f1.bits, sw.blooms.f2.bits)
         out = sw.process_packet(1, pkt(dst_ip=B_IP))
-        assert out and out[0].egress_port == 2
+        assert out is not None and out.egress_port == 2
         assert (sw.blooms.f1.bits, sw.blooms.f2.bits) == before
 
     def test_internal_to_external_registers(self):
@@ -219,10 +219,10 @@ class TestKnockingStage:
     def test_full_knock_then_service(self):
         sw = self.authorized()
         for dport in (2222, 3333, 4444):
-            assert sw.process_packet(1, pkt(dport=dport)) == []
+            assert sw.process_packet(1, pkt(dport=dport)) is None
             assert sw.event_log[-1]["verdict"] == "Consumed"
         out = sw.process_packet(1, pkt(dport=80))
-        assert out and out[0].egress_port == 3
+        assert out is not None and out.egress_port == 3
         # authenticated service traffic terminal-logs at the forward stage
         # like any other forwarded packet; knocking logs only absorb/drop
         assert sw.event_log[-1]["stage"] == "forward"
@@ -232,7 +232,7 @@ class TestKnockingStage:
         sw = switch(features=[FEAT_KNOCKING])
         sw.apply_rule_install([("present_table",
                                 tb.Rule((ip(A_IP),), tb.set_allowed()))])
-        assert sw.process_packet(1, pkt(dport=80)) == []
+        assert sw.process_packet(1, pkt(dport=80)) is None
         assert sw.event_log[-1]["reason"] == "no knock state"
 
     def test_wrong_knock_logged(self):
@@ -354,19 +354,19 @@ class TestFeatureComposition:
         if FEAT_KNOCKING in subset:
             for dport in (2222, 3333, 4444):
                 out = sw.process_packet(1, pkt(dport=dport))
-                assert out == []
+                assert out is None
         return sw
 
     def test_authorized_traffic_is_forwarded(self, subset):
         sw = self.build(subset)
         out = sw.process_packet(1, pkt(dport=80))
-        assert len(out) == 1 and out[0].egress_port == 3
+        assert out.egress_port == 3
 
     def test_unknown_traffic_never_silently_forwarded(self, subset):
         sw = self.build(subset)
         stranger = pkt(src_ip=B_IP, src_mac=B_MAC, dport=80)
         out = sw.process_packet(2, stranger)
         if subset:
-            assert not out or out[0].egress_port == CPU_PORT
+            assert out is None or out.egress_port == CPU_PORT
         else:
-            assert out and out[0].egress_port == 3
+            assert out is not None and out.egress_port == 3

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,8 +110,7 @@ class TestDump:
         t.insert(tb.Rule((IP1,), tb.forward(3)))
         ts.create("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop()).insert(
             tb.Rule((IP2, MAC1), tb.set_allowed()))
-        lines = tb.dump_jsonl(ts).splitlines()
-        rows = [json.loads(line) for line in lines]
+        rows = ts.dump()
         assert rows == sorted(rows, key=lambda r: (r["table"], r["key"]))
         assert {"table": "ipv4_forward", "key": ["10.0.2.2"],
                 "action": "Forward", "params": {"port": 3}} in rows

@@ -61,14 +61,14 @@ class TestDefaultTopology:
         freshly built network has no routes there, but full static routes
         everywhere else."""
         spec = load_topology(default_topology_path())
-        network = build_network(spec)
+        network = build_network(spec, [])
         assert len(network["s6"].tables["ipv4_forward"].rules) == 0
         for sid in ("s1", "s2", "s3", "s4", "s5"):
             assert len(network[sid].tables["ipv4_forward"].rules) == 7
 
     def test_internal_ports_prepopulated(self):
         spec = load_topology(default_topology_path())
-        network = build_network(spec)
+        network = build_network(spec, [])
         table = network["s1"].tables["check_ports"]
         for port, expect_hit in ((1, True), (2, True), (3, False)):
             action, hit = table.lookup((port,))
@@ -166,6 +166,26 @@ class TestValidation:
         with pytest.raises(InvalidTopology):
             parse_topology(broken)
 
+    @pytest.mark.parametrize("path, value", [
+        (("switches", 0, "ports"), ["a", 1, 2]),
+        (("switches", 0, "ports"), [True, 2]),
+        (("switches", 0, "internal_ports"), [True]),
+        (("switches", 0, "cpu_port"), "55"),
+        (("hosts", 0, "port"), True),
+        (("hosts", 0, "port"), 1.0),
+        (("links", 0, 1), "2"),
+        (("links", 0, 3), 2.0),
+    ], ids=["ports-str", "ports-bool", "internal-bool", "cpu-str",
+            "host-bool", "host-float", "link-a-str", "link-b-float"])
+    def test_rejects_non_integer_port(self, broken, path, value):
+        *parents, last = path
+        target = broken
+        for step in parents:
+            target = target[step]
+        target[last] = value
+        with pytest.raises(InvalidTopology, match="is not an integer"):
+            parse_topology(broken)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(InvalidTopology):
             load_topology(str(tmp_path / "absent.json"))
@@ -213,12 +233,12 @@ class TestRoutes:
 class TestMinimalNetworkEndToEnd:
     def test_one_switch_carries_traffic(self):
         from p4filter.packet import make_packet
-        network = build_network(parse_topology(minimal()))
+        network = build_network(parse_topology(minimal()), [])
         sw = network["s1"]
         p = make_packet(src_mac="02:00:00:00:00:01",
                         dst_mac="02:00:00:00:00:02",
                         src_ip="10.0.0.1", dst_ip="10.0.0.2",
                         sport=1234, dport=80)
         out = sw.process_packet(1, p)
-        assert len(out) == 1 and out[0].egress_port == 2
-        assert out[0].packet.ip.ttl == 63
+        assert out.egress_port == 2
+        assert out.packet.ip.ttl == 63
