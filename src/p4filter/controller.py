@@ -9,9 +9,11 @@ what the switches enforce.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,13 +160,25 @@ def load_store(path: str) -> SequenceStore:
 
 
 def save_store(store: SequenceStore, path: Optional[str] = None) -> None:
+    """Replace the store file atomically: the text goes to a temporary file
+    in the same directory, is flushed to disk, then renamed over the
+    target, so a crash mid-write leaves the old file whole."""
     target = path if path is not None else store.path
     if target is None:
         return   # in-memory store, nothing to persist
+    tmp = None
     try:
-        with open(target, "w") as f:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
+                                   prefix=f".{os.path.basename(target)}.", suffix=".tmp")
+        with os.fdopen(fd, "w") as f:
             f.write(store.canonical_text())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, target)
     except OSError as e:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise PersistenceFailure(f"cannot write store file {target}: {e}") from e
 
 
@@ -191,6 +205,21 @@ class Controller:
         self.switch_features = switch_features
         self.routes = routes
         self.handled: set[tuple[str, Ipv4Address]] = set()
+        self._route_installs: dict[str, list[tuple[str, Rule]]] = {}
+
+    def _route_rules(self, switch_id: str) -> list[tuple[str, Rule]]:
+        """The switch's ipv4_forward installs in address order, built on its
+        first punt. Rules are immutable, so later punts hand out the same
+        ones, and routes through one egress port share one Forward action."""
+        installs = self._route_installs.get(switch_id)
+        if installs is None:
+            routes = sorted(self.routes.get(switch_id, {}).items(),
+                            key=lambda kv: kv[0].octets)
+            forwards = {egress: tables.forward(egress) for egress in {e for _, e in routes}}
+            installs = [("ipv4_forward", Rule((dst_ip,), forwards[egress]))
+                        for dst_ip, egress in routes]
+            self._route_installs[switch_id] = installs
+        return installs
 
     def handle_packet_in(self, switch_id: str, raw: bytes) -> list[tuple[str, Rule]]:
         """Resolve one punted packet into rule installs for that switch.
@@ -235,9 +264,7 @@ class Controller:
                     ("knock_rules", Rule((src, port), tables.set_allowed(pos=pos))))
             installs.append(
                 ("knock_rules", Rule((src, seq.service_port), tables.set_allowed(pos=3))))
-        for dst_ip, egress in sorted(self.routes.get(switch_id, {}).items(),
-                                     key=lambda kv: kv[0].octets):
-            installs.append(("ipv4_forward", Rule((dst_ip,), tables.forward(egress))))
+        installs.extend(self._route_rules(switch_id))
 
         self.handled.add((switch_id, src))
         return installs

@@ -3,13 +3,16 @@
 Fixed 20-byte IPv4 and TCP headers (no options, no fragmentation), since
 the pipeline only ever filters plain TCP. Values are immutable; every
 transformation returns a new object, which keeps packet processing
-deterministic and safe to replay.
+deterministic and safe to replay. Every packet built here or parsed from
+a frame carries a valid IPv4 header checksum, which each forwarding hop
+updates incrementally.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 ETHERTYPE_IPV4 = 0x0800
@@ -28,7 +31,7 @@ PSH = 0x08
 ACK = 0x10
 URG = 0x20
 
-_FLAG_BITS = {"FIN": FIN, "SYN": SYN, "RST": RST, "PSH": PSH, "ACK": ACK, "URG": URG}
+FLAG_BITS = {"FIN": FIN, "SYN": SYN, "RST": RST, "PSH": PSH, "ACK": ACK, "URG": URG}
 
 
 class PacketError(Exception):
@@ -91,8 +94,13 @@ class Ipv4Address:
         octets = bytes(int(p) for p in parts)
         return cls(octets)
 
+    @cached_property
+    def _text(self) -> str:
+        # the dotted text goes into every trace record, so render it once
+        return ".".join(map(str, self.octets))
+
     def __str__(self) -> str:
-        return ".".join(str(b) for b in self.octets)
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,7 @@ def tcp_flags(*names: str) -> int:
     """Build a flags byte from names, e.g. tcp_flags("SYN", "ACK")."""
     value = 0
     for name in names:
-        value |= _FLAG_BITS[name.upper()]
+        value |= FLAG_BITS[name.upper()]
     return value
 
 
@@ -168,15 +176,17 @@ class FlowKey(NamedTuple):
                 + self.a_port.to_bytes(2, "big") + self.b_port.to_bytes(2, "big"))
 
 
+def _ones_fold(total: int) -> int:
+    """Fold a sum of 16-bit words to 16 bits with end-around carry."""
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
 def ipv4_checksum(header: bytes) -> int:
     """Standard one's-complement sum over 16-bit words, checksum field zeroed
     by the caller."""
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) | header[i + 1]
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    return ~_ones_fold(sum(struct.unpack(f"!{len(header) // 2}H", header))) & 0xFFFF
 
 
 def _ipv4_header_bytes(ip: Ipv4Header, checksum: int) -> bytes:
@@ -263,15 +273,22 @@ def parse_packet(frame: bytes) -> Packet:
 
 
 def decrement_ttl(p: Packet) -> Packet:
-    """One forwarding hop: ttl - 1 with the checksum recomputed.
+    """One forwarding hop: ttl - 1 with the header checksum updated.
 
-    Raises TtlExpired when the incoming ttl is already 0.
+    The update follows RFC 1624 eqn 3, HC' = ~(~HC + ~m + m'), over the
+    16-bit word m that holds ttl and protocol, so it equals a full
+    recompute whenever the incoming checksum is valid. Raises TtlExpired
+    when the incoming ttl is already 0.
     """
-    if p.ip.ttl == 0:
+    ip = p.ip
+    if ip.ttl == 0:
         raise TtlExpired("ttl is 0")
-    new_ip = replace(p.ip, ttl=p.ip.ttl - 1)
-    checksum = ipv4_checksum(_ipv4_header_bytes(new_ip, 0))
-    return replace(p, ip=replace(new_ip, header_checksum=checksum))
+    old_word = (ip.ttl << 8) | ip.protocol
+    total = (~ip.header_checksum & 0xFFFF) + (~old_word & 0xFFFF) + old_word - 0x100
+    new_ip = Ipv4Header(
+        ip.src_ip, ip.dst_ip, ip.ttl - 1, ip.protocol, ~_ones_fold(total) & 0xFFFF,
+        ip.total_length, ip.tos, ip.identification, ip.flags_frag)
+    return Packet(p.eth, new_ip, p.tcp, p.payload)
 
 
 def flow_key(p: Packet, direction: int) -> FlowKey:
@@ -287,17 +304,27 @@ def flow_key(p: Packet, direction: int) -> FlowKey:
     raise ValueError(f"direction must be 0 or 1, got {direction}")
 
 
-def make_packet(src_ip: str, dst_ip: str, src_mac: str, dst_mac: str,
+def make_packet(src_ip: str | Ipv4Address, dst_ip: str | Ipv4Address,
+                src_mac: str | MacAddr, dst_mac: str | MacAddr,
                 sport: int, dport: int, flags: int = SYN, ttl: int = 64,
                 payload: bytes = b"", seq: int = 0, ack: int = 0) -> Packet:
-    """Convenience constructor used by hosts and tests; checksum fields are
-    filled on serialization."""
+    """Convenience constructor used by hosts and tests. Addresses may be
+    text or already-parsed values; the IPv4 header checksum is filled in."""
+    if isinstance(src_ip, str):
+        src_ip = Ipv4Address.from_text(src_ip)
+    if isinstance(dst_ip, str):
+        dst_ip = Ipv4Address.from_text(dst_ip)
+    if isinstance(src_mac, str):
+        src_mac = MacAddr.from_text(src_mac)
+    if isinstance(dst_mac, str):
+        dst_mac = MacAddr.from_text(dst_mac)
+    total_length = IPV4_LEN + TCP_LEN + len(payload)
+    unsummed = Ipv4Header(src_ip=src_ip, dst_ip=dst_ip, ttl=ttl, total_length=total_length)
+    checksum = ipv4_checksum(_ipv4_header_bytes(unsummed, 0))
     return Packet(
-        eth=EthernetHeader(dst_mac=MacAddr.from_text(dst_mac),
-                           src_mac=MacAddr.from_text(src_mac)),
-        ip=Ipv4Header(src_ip=Ipv4Address.from_text(src_ip),
-                      dst_ip=Ipv4Address.from_text(dst_ip), ttl=ttl,
-                      total_length=IPV4_LEN + TCP_LEN + len(payload)),
+        eth=EthernetHeader(dst_mac=dst_mac, src_mac=src_mac),
+        ip=Ipv4Header(src_ip=src_ip, dst_ip=dst_ip, ttl=ttl, header_checksum=checksum,
+                      total_length=total_length),
         tcp=TcpHeader(src_port=sport, dst_port=dport, flags=flags, seq=seq, ack=ack),
         payload=payload,
     )

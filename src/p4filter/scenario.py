@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .controller import SequenceStore
-from .packet import Ipv4Address, tcp_flags
+from .packet import FLAG_BITS, IPV4_LEN, TCP_LEN, Ipv4Address, tcp_flags
+
+MAX_PAYLOAD = 0xFFFF - IPV4_LEN - TCP_LEN   # IPv4 total_length is 16 bits
 
 
 class InvalidScenario(Exception):
@@ -26,8 +28,9 @@ class NoSequence(Exception):
     """A knock action references a host with no stored sequence."""
 
 
-@dataclass(frozen=True)
-class SendAction:
+# Actions and events are NamedTuples: immutable records that parsing builds
+# once per event, at about a third of a frozen dataclass's cost.
+class SendAction(NamedTuple):
     dst: str                      # destination host name
     dport: int
     sport: Optional[int] = None   # default: per-host ephemeral counter
@@ -44,8 +47,7 @@ class SendAction:
         return tcp_flags(*self.flags)
 
 
-@dataclass(frozen=True)
-class KnockAction:
+class KnockAction(NamedTuple):
     dst: str
     sequence_of: Optional[str] = None   # host whose stored sequence to use
     order: tuple[int, int, int] = (0, 1, 2)
@@ -55,15 +57,13 @@ class KnockAction:
     src_mac_of: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OpenServiceAction:
+class OpenServiceAction(NamedTuple):
     dst: str
     src_ip_of: Optional[str] = None
     src_mac_of: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     time: int
     host: str
     action: object   # SendAction | KnockAction | OpenServiceAction
@@ -88,28 +88,43 @@ class ScenarioSpec:
     expect: dict = field(default_factory=dict)
 
 
-def _non_negative(item: dict, name: str, default: int) -> int:
-    value = item.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidScenario(f"{name} must be a non-negative integer: {item!r}")
+def _integer(item: dict, name: str, default: Optional[int] = None,
+             high: Optional[int] = None) -> int:
+    """item[name], or `default` when it is absent (KeyError when there is
+    no default), checked to be an int in 0..high; a bool is not an int."""
+    value = item[name] if default is None else item.get(name, default)
+    if type(value) is not int or value < 0 or (high is not None and value > high):
+        span = "a non-negative integer" if high is None else f"an integer in 0..{high}"
+        raise InvalidScenario(f"{name} must be {span}: {item!r}")
     return value
 
 
 def _parse_send(item: dict) -> SendAction:
+    dst = item["dst"]
     flags = item.get("flags", ["SYN"])
     if not isinstance(flags, list):
         raise InvalidScenario(f"flags must be a list: {item!r}")
+    for name in flags:
+        if not isinstance(name, str) or name.upper() not in FLAG_BITS:
+            raise InvalidScenario(
+                f"unknown TCP flag {name!r}, known: {sorted(FLAG_BITS)}: {item!r}")
+    payload = item.get("payload", "")
+    if not isinstance(payload, str):
+        raise InvalidScenario(f"payload must be a string: {item!r}")
+    payload = payload.encode()
+    if len(payload) > MAX_PAYLOAD:
+        raise InvalidScenario(f"payload is longer than {MAX_PAYLOAD} bytes")
     return SendAction(
-        dst=item["dst"],
-        dport=item["dport"],
-        sport=item.get("sport"),
+        dst=dst,
+        dport=_integer(item, "dport", high=0xFFFF),
+        sport=_integer(item, "sport", high=0xFFFF) if item.get("sport") is not None else None,
         flags=tuple(flags),
-        payload=item.get("payload", "").encode(),
-        ttl=item.get("ttl", 64),
+        payload=payload,
+        ttl=_integer(item, "ttl", 64, high=0xFF),
         src_ip_of=item.get("src_ip_of"),
         src_mac_of=item.get("src_mac_of"),
-        repeat=item.get("repeat", 1),
-        gap=_non_negative(item, "gap", 1),
+        repeat=_integer(item, "repeat", 1),
+        gap=_integer(item, "gap", 1),
     )
 
 
@@ -121,7 +136,7 @@ def _parse_knock(item: dict) -> KnockAction:
         dst=item["dst"],
         sequence_of=item.get("sequence_of"),
         order=order,
-        spacing=_non_negative(item, "spacing", 1),
+        spacing=_integer(item, "spacing", 1),
         include_service=item.get("include_service", True),
         src_ip_of=item.get("src_ip_of"),
         src_mac_of=item.get("src_mac_of"),
@@ -164,7 +179,7 @@ def parse_scenario(obj) -> ScenarioSpec:
             action = _ACTION_PARSERS[kind](item)
         except (KeyError, TypeError) as e:
             raise InvalidScenario(f"bad {kind} event {item!r}: {e}") from e
-        events.append(ScenarioEvent(time=time, host=host, action=action))
+        events.append(ScenarioEvent(time, host, action))
 
     preinstall = []
     for item in obj.get("preinstall", []):

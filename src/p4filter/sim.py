@@ -27,6 +27,11 @@ from .verdict import CONSUMED, DROPPED
 COUNTERS = ("sent", "delivered", "dropped", "punted", "consumed")
 
 
+class TimeReversal(Exception):
+    """Something was scheduled before the tick being processed; simulation
+    time would run backwards. A simulator bug, not an input condition."""
+
+
 @dataclass
 class RunReport:
     scenario: str
@@ -102,12 +107,16 @@ class Simulator:
 
         self._queue: list[tuple] = []
         self._seq = 0
+        self._now = 0    # tick being processed; time starts at 0
         self._ephemeral: dict[str, int] = {}
         self._stats = {h.name: dict.fromkeys(COUNTERS, 0) for h in topo.hosts}
 
     # -- scheduling --------------------------------------------------------
 
     def _push(self, time: int, item: tuple) -> None:
+        if time < self._now:
+            raise TimeReversal(
+                f"cannot schedule at tick {time} while processing tick {self._now}")
         heapq.heappush(self._queue, (time, self._seq, item))
         self._seq += 1
 
@@ -127,12 +136,10 @@ class Simulator:
         for name in (dst, src_ip_of, src_mac_of):
             if name is not None and name not in self.hosts:
                 raise InvalidScenario(f"unknown host {name!r}")
-        src_ip = self.hosts[src_ip_of or sender].ip
-        src_mac = self.hosts[src_mac_of or sender].mac
         target = self.hosts[dst]
         return make_packet(
-            src_ip=str(src_ip), dst_ip=str(target.ip),
-            src_mac=str(src_mac), dst_mac=str(target.mac),
+            src_ip=self.hosts[src_ip_of or sender].ip, dst_ip=target.ip,
+            src_mac=self.hosts[src_mac_of or sender].mac, dst_mac=target.mac,
             sport=sport, dport=dport, flags=flags, ttl=ttl, payload=payload)
 
     # -- event expansion ---------------------------------------------------
@@ -211,6 +218,7 @@ class Simulator:
 
         while self._queue:
             time, _, item = heapq.heappop(self._queue)
+            self._now = time
             kind = item[0]
             if kind == "event":
                 _, sender, action = item

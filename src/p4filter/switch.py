@@ -86,17 +86,24 @@ class P4Switch:
         self.pending_punts: set[Ipv4Address] = set()
         self._knock_staging: dict[Ipv4Address, dict[int, int]] = {}
 
+        self._stateless = FEAT_STATELESS in config.features
+        self._stateful = FEAT_STATEFUL in config.features
+        self._knocking = FEAT_KNOCKING in config.features
+
+        # The pipeline holds its tables directly; the TableSet is the
+        # by-name view the control plane and the rule dump go through.
         t = TableSet()
-        present_default = (tables.send_to_controller()
-                           if FEAT_KNOCKING in config.features else tables.no_action())
-        t.create("present_table", (KIND_IPV4,), present_default)
-        t.create("check_ip", (KIND_IPV4,), tables.send_to_controller())
-        t.create("check_mac", (KIND_IPV4, KIND_MAC), tables.drop())
-        t.create("check_ports", (KIND_PORT_ID,), tables.set_direction(stateful.EXTERNAL))
+        self.present_table = t.create(
+            "present_table", (KIND_IPV4,),
+            tables.send_to_controller() if self._knocking else tables.no_action())
+        self.check_ip = t.create("check_ip", (KIND_IPV4,), tables.send_to_controller())
+        self.check_mac = t.create("check_mac", (KIND_IPV4, KIND_MAC), tables.drop())
+        self.check_ports = t.create(
+            "check_ports", (KIND_PORT_ID,), tables.set_direction(stateful.EXTERNAL))
         t.create("knock_rules", (KIND_IPV4, KIND_PORT), tables.no_action())
-        t.create("ipv4_forward", (KIND_IPV4,), tables.drop())
+        self.ipv4_forward = t.create("ipv4_forward", (KIND_IPV4,), tables.drop())
         for port in config.internal_ports:
-            t["check_ports"].insert(Rule((port,), tables.set_direction(stateful.INTERNAL)))
+            self.check_ports.insert(Rule((port,), tables.set_direction(stateful.INTERNAL)))
         self.tables = t
 
     # -- event log ---------------------------------------------------------
@@ -131,11 +138,10 @@ class P4Switch:
         return None
 
     def _egress_is_internal(self, dst_ip: Ipv4Address) -> bool:
-        action, hit = self.tables["ipv4_forward"].lookup((dst_ip,))
+        action, hit = self.ipv4_forward.lookup((dst_ip,))
         if not hit or action.kind != tables.FORWARD:
             return False
-        port = action.param_dict["port"]
-        _, internal = self.tables["check_ports"].lookup((port,))
+        _, internal = self.check_ports.lookup((action.param("port"),))
         return internal
 
     def process_packet(self, ingress_port: int, p: Packet) -> Optional[PacketOut]:
@@ -143,26 +149,23 @@ class P4Switch:
         here; either way exactly one record is logged."""
         if ingress_port not in self.config.ports:
             raise UnknownPort(f"{self.config.switch_id}: no port {ingress_port}")
-        features = self.config.features
-
         # 1. presence check on the source; SetAllowed / NoAction continue
-        action, _ = self.tables["present_table"].lookup((p.ip.src_ip,))
+        action, _ = self.present_table.lookup((p.ip.src_ip,))
         if action.kind == tables.SEND_TO_CONTROLLER:
             return self._stop(STAGE_PRESENT, p, Verdict(PUNTED, "present_table punt"))
         if action.kind == tables.DROP:
             return self._stop(STAGE_PRESENT, p, Verdict(DROPPED, "present_table drop"))
 
         # 2. stateless firewall
-        if FEAT_STATELESS in features:
-            verdict = stateless.stateless_check(
-                p, self.tables["check_ip"], self.tables["check_mac"])
+        if self._stateless:
+            verdict = stateless.stateless_check(p, self.check_ip, self.check_mac)
             if verdict.kind != FORWARDED:
                 return self._stop(STAGE_STATELESS, p, verdict)
 
         # 3. stateful firewall; traffic staying inside the protected side
         #    never consults or grows the flow state
-        if FEAT_STATEFUL in features:
-            direction = stateful.classify_direction(ingress_port, self.tables["check_ports"])
+        if self._stateful:
+            direction = stateful.classify_direction(ingress_port, self.check_ports)
             bypass = (direction == stateful.INTERNAL
                       and self._egress_is_internal(p.ip.dst_ip))
             if not bypass:
@@ -171,7 +174,7 @@ class P4Switch:
                     return self._stop(STAGE_STATEFUL, p, verdict)
 
         # 4. port knocking
-        if FEAT_KNOCKING in features:
+        if self._knocking:
             state = self.knock_states.get(p.ip.src_ip)
             if state is None:
                 return self._stop(STAGE_KNOCKING, p, Verdict(DROPPED, "no knock state"))
@@ -181,7 +184,7 @@ class P4Switch:
                 return self._stop(STAGE_KNOCKING, p, verdict)
 
         # 5. IPv4 forwarding
-        action, _ = self.tables["ipv4_forward"].lookup((p.ip.dst_ip,))
+        action, _ = self.ipv4_forward.lookup((p.ip.dst_ip,))
         if action.kind != tables.FORWARD:
             return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "no route"))
         try:
@@ -189,7 +192,7 @@ class P4Switch:
         except TtlExpired:
             return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "ttl expired"))
         self._log(FORWARDED, STAGE_FORWARD, p, "forwarded")
-        return PacketOut(action.param_dict["port"], out)
+        return PacketOut(action.param("port"), out)
 
     # -- control plane -----------------------------------------------------
 
@@ -203,7 +206,7 @@ class P4Switch:
                 self.pending_punts.discard(rule.key[0])
             elif table_name == "knock_rules":
                 ip, port = rule.key
-                pos = rule.action.param_dict.get("pos")
+                pos = rule.action.param("pos")
                 if pos is None:
                     raise tables.SchemaMismatch(
                         "knock_rules action needs a 'pos' parameter")

@@ -70,6 +70,13 @@ class Action:
     def param_dict(self) -> dict:
         return dict(self.params)
 
+    def param(self, name: str, default=None):
+        """One parameter's value, read without building a dict."""
+        for key, value in self.params:
+            if key == name:
+                return value
+        return default
+
 
 def forward(egress_port: int) -> Action:
     return Action.make(FORWARD, port=egress_port)
@@ -107,14 +114,21 @@ class Table:
     schema: tuple      # tuple of field kinds, e.g. (KIND_IPV4, KIND_MAC)
     default_action: Action
     rules: dict = field(default_factory=dict)
+    # the exact type of each key field; `type(v) is int` also rejects bool
+    key_types: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.key_types = tuple(_KIND_TYPES[kind] for kind in self.schema)
 
     def _check_key(self, key: tuple) -> None:
+        if isinstance(key, tuple) and tuple(map(type, key)) == self.key_types:
+            return
         if not isinstance(key, tuple) or len(key) != len(self.schema):
             raise SchemaMismatch(
                 f"{self.name}: key arity {len(key) if isinstance(key, tuple) else '?'}"
                 f" != schema arity {len(self.schema)}")
-        for value, kind in zip(key, self.schema):
-            if not isinstance(value, _KIND_TYPES[kind]) or isinstance(value, bool):
+        for value, kind, expected in zip(key, self.schema, self.key_types):
+            if type(value) is not expected:
                 raise SchemaMismatch(
                     f"{self.name}: field {value!r} is not a {kind}")
 

@@ -166,6 +166,24 @@ class TestScenarioInputErrors:
         assert ("spacing must be a non-negative integer"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"ttl": 300}, "ttl must be an integer in 0..255"),
+        ({"dport": "80"}, "dport must be an integer in 0..65535"),
+        ({"dport": True}, "dport must be an integer in 0..65535"),
+        ({"sport": 70000}, "sport must be an integer in 0..65535"),
+        ({"flags": ["BOGUS"]}, "unknown TCP flag 'BOGUS'"),
+        ({"payload": 5}, "payload must be a string"),
+        ({"payload": "x" * 65496}, "payload is longer than 65495 bytes"),
+        ({"repeat": "2"}, "repeat must be a non-negative integer"),
+        ({"repeat": -1}, "repeat must be a non-negative integer"),
+    ], ids=["ttl-300", "dport-text", "dport-bool", "sport-70000", "unknown-flag",
+            "payload-int", "payload-too-long", "repeat-text", "repeat-negative"])
+    def test_bad_send_field_exits_two(self, tmp_path, capsys, fields, message):
+        send = {"time": 0, "host": "h1", "action": "send", "dst": "h3", "dport": 80}
+        code = run_scenario_obj(tmp_path, {"events": [{**send, **fields}]})
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("rule", [
         {"switch": "s1", "table": "no_such_table", "key": ["10.0.1.1"],
          "action": "Drop"},

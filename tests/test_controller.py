@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 
 import pytest
@@ -183,6 +185,26 @@ class TestSequenceStore:
         with pytest.raises(ctl.PersistenceFailure):
             ctl.save_store(store)
 
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, step):
+        """A write that fails after the new text went to disk, before or
+        at the rename, leaves the old file's bytes and no temporary file."""
+        path = tmp_path / "store.json"
+        store = ctl.SequenceStore(str(path))
+        store.put(ip(H_IP), KnockSequence((2222, 3333, 4444), 22))
+        ctl.save_store(store)
+        assert os.listdir(tmp_path) == ["store.json"]
+        old = path.read_bytes()
+
+        def fail(*args):
+            raise OSError(errno.EIO, "injected I/O error")
+        monkeypatch.setattr(os, step, fail)
+        store.put(ip("10.0.5.1"), KnockSequence((5555, 6666, 7777), 22))
+        with pytest.raises(ctl.PersistenceFailure, match="injected I/O error"):
+            ctl.save_store(store)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["store.json"]
+
 
 class TestDenyPath:
     def test_denied_host_gets_single_drop_rule(self, tmp_path):
@@ -229,6 +251,16 @@ class TestAllowPath:
         	  for r in grouped["ipv4_forward"]}
         assert routes == {ip("10.0.1.2"): 1, ip("10.0.5.1"): 3}
         assert "check_ip" not in grouped and "check_mac" not in grouped
+
+    def test_later_punts_reuse_the_route_rules(self, tmp_path):
+        c = build_controller(tmp_path)
+        first = by_table(c.handle_packet_in("sw_knock", punt_bytes()))["ipv4_forward"]
+        second = by_table(c.handle_packet_in(
+            "sw_knock", punt_bytes(src_ip="10.0.1.9")))["ipv4_forward"]
+        assert first == second
+        assert all(a.action is b.action for a, b in zip(first, second))
+        first[0].action.param_dict["port"] = 99   # a copy, not shared state
+        assert second[0].action.param("port") == 1
 
     def test_stateless_switch_install_set(self, tmp_path):
         c = build_controller(tmp_path)

@@ -1,7 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p4filter import packet as pk
@@ -167,6 +168,53 @@ class TestTtl:
         assert hopped.ip.dst_ip == original.ip.dst_ip
 
 
+    @given(
+        src=st.binary(min_size=4, max_size=4), dst=st.binary(min_size=4, max_size=4),
+        ttl=st.integers(1, 255), protocol=st.integers(0, 255),
+        total_length=st.integers(0, 65535), tos=st.integers(0, 255),
+        identification=st.integers(0, 65535), flags_frag=st.integers(0, 65535),
+    )
+    # The one header sum where RFC 1141's update (HC + 0x100) gives 0xFFFF
+    # instead of 0: ttl 1 and a word sum that folds to 0x0100.
+    @example(src=b"\0" * 4, dst=b"\0" * 4, ttl=1, protocol=0, total_length=0xBAFF,
+             tos=0, identification=0, flags_frag=0)
+    @settings(max_examples=500)
+    def test_incremental_checksum_equals_full_recompute(
+            self, src, dst, ttl, protocol, total_length, tos, identification,
+            flags_frag):
+        unsummed = pk.Ipv4Header(
+            src_ip=pk.Ipv4Address(src), dst_ip=pk.Ipv4Address(dst), ttl=ttl,
+            protocol=protocol, total_length=total_length, tos=tos,
+            identification=identification, flags_frag=flags_frag)
+        valid = pk.ipv4_checksum(pk._ipv4_header_bytes(unsummed, 0))
+        p = pk.Packet(
+            eth=pk.EthernetHeader(dst_mac=pk.MacAddr(b"\x02" * 6),
+                                  src_mac=pk.MacAddr(b"\x04" * 6)),
+            ip=replace(unsummed, header_checksum=valid),
+            tcp=pk.TcpHeader(src_port=1, dst_port=2))
+        hopped = pk.decrement_ttl(p).ip
+        assert hopped == replace(unsummed, ttl=ttl - 1, header_checksum=hopped.header_checksum)
+        assert hopped.header_checksum == pk.ipv4_checksum(pk._ipv4_header_bytes(hopped, 0))
+
+
+class TestMakePacket:
+    def test_checksum_filled_in(self):
+        p = golden_packet()
+        assert p.ip.header_checksum == pk.ipv4_checksum(pk._ipv4_header_bytes(p.ip, 0))
+        assert p == pk.parse_packet(GOLDEN_SYN_TTL64)
+
+    def test_text_and_parsed_addresses_give_equal_packets(self):
+        args = ("10.0.1.1", "10.0.3.3", "02:00:00:00:01:01", "02:00:00:00:03:03")
+        parsed = (pk.Ipv4Address.from_text(args[0]), pk.Ipv4Address.from_text(args[1]),
+                  pk.MacAddr.from_text(args[2]), pk.MacAddr.from_text(args[3]))
+        kwargs = dict(sport=1234, dport=80, flags=pk.ACK, ttl=7, payload=b"hi",
+                      seq=5, ack=9)
+        from_text = pk.make_packet(*args, **kwargs)
+        assert pk.make_packet(*parsed, **kwargs) == from_text
+        assert pk.serialize_packet(pk.make_packet(*parsed, **kwargs)) == (
+            pk.serialize_packet(from_text))
+
+
 class TestFlowKey:
     def _packet(self):
         return pk.make_packet("10.0.0.1", "10.0.0.2", "02:00:00:00:00:01",
@@ -218,6 +266,11 @@ class TestAddressText:
 
     def test_ip_round_trip(self):
         assert str(pk.Ipv4Address.from_text("192.168.0.254")) == "192.168.0.254"
+
+    def test_ip_text_does_not_enter_equality(self):
+        a, b = pk.Ipv4Address(b"\x0a\x00\x01\x02"), pk.Ipv4Address.from_text("10.0.1.2")
+        assert a == b and hash(a) == hash(b) and str(a) == "10.0.1.2"
+        assert repr(a) == "Ipv4Address(octets=b'\\n\\x00\\x01\\x02')"
 
     def test_bad_lengths(self):
         with pytest.raises(ValueError):

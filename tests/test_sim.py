@@ -5,8 +5,9 @@ import pytest
 from conftest import run_bundled
 from p4filter.bundled import SCENARIOS
 from p4filter.controller import SequenceStore, load_store, parse_acl
-from p4filter.scenario import InvalidScenario, NoSequence, parse_scenario
-from p4filter.sim import RunReport, evaluate_expect, run_scenario
+from p4filter.scenario import (InvalidScenario, NoSequence, ScenarioEvent, ScenarioSpec,
+                               SendAction, parse_scenario)
+from p4filter.sim import RunReport, TimeReversal, evaluate_expect, run_scenario
 
 
 def simulate(default_topology, obj, acl_entries=(), store=None, seed=None):
@@ -181,6 +182,31 @@ class TestScenarioErrors:
                 "preinstall": [{"switch": "s9", "table": "check_ip",
                                 "key": ["10.0.1.1"],
                                 "action": "SetAllowed"}]})
+
+
+class TestTimeOrder:
+    """The parser refuses a negative gap; a spec built without it must
+    still not schedule packets before the tick being processed."""
+
+    @staticmethod
+    def run_events(topo, *events):
+        spec = ScenarioSpec(name="t", seed=0, acl_path=None, events=events)
+        return run_scenario(topo, spec, acl={}, store=SequenceStore())
+
+    def test_scheduling_into_the_past_raises(self, default_topology):
+        send = SendAction(dst="h3", dport=80, repeat=3, gap=-5)
+        with pytest.raises(TimeReversal, match="tick 0 while processing tick 5"):
+            self.run_events(default_topology, ScenarioEvent(5, "h1", send))
+
+    def test_negative_start_time_raises(self, default_topology):
+        send = SendAction(dst="h3", dport=80)
+        with pytest.raises(TimeReversal, match="tick -1 while processing tick 0"):
+            self.run_events(default_topology, ScenarioEvent(-1, "h1", send))
+
+    def test_same_tick_is_allowed(self, default_topology):
+        send = SendAction(dst="h3", dport=80, repeat=3, gap=0)
+        report = self.run_events(default_topology, ScenarioEvent(5, "h1", send))
+        assert report.hosts["h1"]["sent"] == 3
 
 
 class TestEphemeralPorts:

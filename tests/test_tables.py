@@ -32,6 +32,11 @@ class TestCreate:
         with pytest.raises(tb.DuplicateName):
             ts.create("present_table", (tb.KIND_IPV4,), tb.drop())
 
+    def test_param_reads_one_value(self):
+        assert tb.forward(7).param("port") == 7
+        assert tb.set_allowed(pos=2).param("pos") == 2
+        assert tb.set_allowed().param("pos") is None
+
     def test_unknown_kind(self):
         ts = tb.TableSet()
         with pytest.raises(ValueError):
@@ -62,6 +67,15 @@ class TestInsertLookup:
         t = ts.create("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
         with pytest.raises(tb.SchemaMismatch):
             t.insert(tb.Rule((True,), tb.set_direction(0)))
+
+    def test_bool_lookup_does_not_hit_int_rule(self):
+        """True == 1 and hashes alike, so only the key check keeps a bool
+        from matching the rule installed for port 1."""
+        ts = tb.TableSet()
+        t = ts.create("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
+        t.insert(tb.Rule((1,), tb.set_direction(0)))
+        with pytest.raises(tb.SchemaMismatch):
+            t.lookup((True,))
 
     def test_replacement_semantics(self):
         _, t = present_table()
@@ -116,6 +130,16 @@ class TestDump:
                 "action": "Forward", "params": {"port": 3}} in rows
         assert {"table": "check_mac", "key": ["10.0.2.3", "02:00:00:00:00:01"],
                 "action": "SetAllowed", "params": {}} in rows
+
+    def test_mutating_a_dump_leaves_later_dumps_alone(self):
+        ts = tb.TableSet()
+        ts.create("ipv4_forward", (tb.KIND_IPV4,), tb.drop()).insert(
+            tb.Rule((IP1,), tb.forward(3)))
+        first = ts.dump()
+        first[0]["params"]["port"] = 99
+        first[0]["key"].append("x")
+        assert ts.dump() == [{"table": "ipv4_forward", "key": ["10.0.2.2"],
+                              "action": "Forward", "params": {"port": 3}}]
 
 
 class TestActions:
