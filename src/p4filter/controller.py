@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import tables
-from .knocking import KnockSequence
+from .knocking import POS_SERVICE, KnockSequence
 from .packet import Ipv4Address, MacAddr, parse_packet
 from .switch import FEAT_KNOCKING, FEAT_STATELESS
 from .tables import Rule
@@ -262,8 +262,8 @@ class Controller:
             for pos, port in enumerate(seq.knock_ports):
                 installs.append(
                     ("knock_rules", Rule((src, port), tables.set_allowed(pos=pos))))
-            installs.append(
-                ("knock_rules", Rule((src, seq.service_port), tables.set_allowed(pos=3))))
+            installs.append(("knock_rules", Rule(
+                (src, seq.service_port), tables.set_allowed(pos=POS_SERVICE))))
         installs.extend(self._route_rules(switch_id))
 
         self.handled.add((switch_id, src))

@@ -10,17 +10,12 @@ recover, and re-authentication from stage 3 would be impossible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .packet import Ipv4Address, Packet
 from .verdict import CONSUMED, DROPPED, FORWARDED, Verdict
 
 STAGE_AUTHENTICATED = 3
-
-
-class OwnerMismatch(Exception):
-    """A packet from a different source reached this host's state machine —
-    a pipeline routing bug, not a traffic condition."""
+POS_SERVICE = 3     # knock_rules position of the service port
 
 
 @dataclass(frozen=True)
@@ -42,19 +37,9 @@ class KnockSequence:
             raise ValueError("service port may not be a knock port")
 
 
-@dataclass(frozen=True)
-class KnockState:
-    owner_ip: Ipv4Address
-    seq: KnockSequence
-    stage: int = 0
-
-    def __post_init__(self):
-        if self.stage not in (0, 1, 2, 3):
-            raise ValueError(f"stage {self.stage} out of range")
-
-
-def knock_step(state: KnockState, p: Packet) -> tuple[Verdict, KnockState]:
-    """Advance one host's knocking FSM by one packet.
+def knock_step(stage: int, pos: int | None, pure_syn: bool) -> tuple[Verdict, int]:
+    """Advance one source's knocking FSM by one packet; `pos` is the
+    destination port's knock_rules position, None on a miss.
 
     Stages 0-2: a pure SYN to the expected knock port advances and is
     absorbed; a pure SYN to the first knock port restarts at stage 1; any
@@ -64,23 +49,17 @@ def knock_step(state: KnockState, p: Packet) -> tuple[Verdict, KnockState]:
     the stage; a pure SYN to the first knock port begins re-authentication;
     everything else drops, stage retained.
     """
-    if p.ip.src_ip != state.owner_ip:
-        raise OwnerMismatch(f"packet from {p.ip.src_ip}, state owned by {state.owner_ip}")
+    if stage == STAGE_AUTHENTICATED:
+        if pos == POS_SERVICE:
+            return Verdict(FORWARDED, "knock authenticated"), stage
+        if pure_syn and pos == 0:
+            return Verdict(CONSUMED, "knock consumed"), 1
+        return Verdict(DROPPED, "knock drop"), stage
 
-    dport = p.tcp.dst_port
-    knocks = state.seq.knock_ports
-
-    if state.stage == STAGE_AUTHENTICATED:
-        if dport == state.seq.service_port:
-            return Verdict(FORWARDED, "knock authenticated"), state
-        if p.tcp.is_pure_syn and dport == knocks[0]:
-            return Verdict(CONSUMED, "knock consumed"), replace(state, stage=1)
-        return Verdict(DROPPED, "knock drop"), state
-
-    if not p.tcp.is_pure_syn:
-        return Verdict(DROPPED, "knock drop"), state
-    if dport == knocks[state.stage]:
-        return Verdict(CONSUMED, "knock consumed"), replace(state, stage=state.stage + 1)
-    if dport == knocks[0]:
-        return Verdict(CONSUMED, "knock consumed"), replace(state, stage=1)
-    return Verdict(DROPPED, "wrong knock"), replace(state, stage=0)
+    if not pure_syn:
+        return Verdict(DROPPED, "knock drop"), stage
+    if pos == stage:
+        return Verdict(CONSUMED, "knock consumed"), stage + 1
+    if pos == 0:
+        return Verdict(CONSUMED, "knock consumed"), 1
+    return Verdict(DROPPED, "wrong knock"), 0

@@ -3,7 +3,8 @@ and expected per-host outcome counts.
 
 Actions are `send` (one or more raw TCP packets), `knock` (replay a stored
 knock sequence, optionally permuted or spoofed, then open the service
-port), and `open_service` (just the service-port connection packet).
+port), and `open_service` (a knock with no knocks: just the service-port
+connection packet).
 Source-address overrides exist so spoofing scenarios can forge another
 host's identity while keeping the real attachment point.
 """
@@ -18,6 +19,9 @@ from .controller import SequenceStore
 from .packet import FLAG_BITS, IPV4_LEN, TCP_LEN, Ipv4Address, tcp_flags
 
 MAX_PAYLOAD = 0xFFFF - IPV4_LEN - TCP_LEN   # IPv4 total_length is 16 bits
+
+# per-host outcome counters of a run, the metrics an expect block may name
+COUNTERS = ("sent", "delivered", "dropped", "punted", "consumed")
 
 
 class InvalidScenario(Exception):
@@ -50,15 +54,9 @@ class SendAction(NamedTuple):
 class KnockAction(NamedTuple):
     dst: str
     sequence_of: Optional[str] = None   # host whose stored sequence to use
-    order: tuple[int, int, int] = (0, 1, 2)
+    order: tuple[int, ...] = (0, 1, 2)   # () sends just the service probe
     spacing: int = 1
     include_service: bool = True
-    src_ip_of: Optional[str] = None
-    src_mac_of: Optional[str] = None
-
-
-class OpenServiceAction(NamedTuple):
-    dst: str
     src_ip_of: Optional[str] = None
     src_mac_of: Optional[str] = None
 
@@ -66,7 +64,7 @@ class OpenServiceAction(NamedTuple):
 class ScenarioEvent(NamedTuple):
     time: int
     host: str
-    action: object   # SendAction | KnockAction | OpenServiceAction
+    action: object   # SendAction | KnockAction
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,6 @@ def _integer(item: dict, name: str, default: Optional[int] = None,
 
 
 def _parse_send(item: dict) -> SendAction:
-    dst = item["dst"]
     flags = item.get("flags", ["SYN"])
     if not isinstance(flags, list):
         raise InvalidScenario(f"flags must be a list: {item!r}")
@@ -115,7 +112,7 @@ def _parse_send(item: dict) -> SendAction:
     if len(payload) > MAX_PAYLOAD:
         raise InvalidScenario(f"payload is longer than {MAX_PAYLOAD} bytes")
     return SendAction(
-        dst=dst,
+        dst=item["dst"],
         dport=_integer(item, "dport", high=0xFFFF),
         sport=_integer(item, "sport", high=0xFFFF) if item.get("sport") is not None else None,
         flags=tuple(flags),
@@ -129,13 +126,14 @@ def _parse_send(item: dict) -> SendAction:
 
 
 def _parse_knock(item: dict) -> KnockAction:
-    order = tuple(item.get("order", (0, 1, 2)))
-    if sorted(order) != [0, 1, 2]:
+    order = item.get("order", [0, 1, 2])
+    if (not isinstance(order, list) or any(type(i) is not int for i in order)
+            or sorted(order) != [0, 1, 2]):
         raise InvalidScenario(f"knock order must permute [0, 1, 2]: {order!r}")
     return KnockAction(
         dst=item["dst"],
         sequence_of=item.get("sequence_of"),
-        order=order,
+        order=tuple(order),
         spacing=_integer(item, "spacing", 1),
         include_service=item.get("include_service", True),
         src_ip_of=item.get("src_ip_of"),
@@ -143,9 +141,10 @@ def _parse_knock(item: dict) -> KnockAction:
     )
 
 
-def _parse_open_service(item: dict) -> OpenServiceAction:
-    return OpenServiceAction(
+def _parse_open_service(item: dict) -> KnockAction:
+    return KnockAction(
         dst=item["dst"],
+        order=(),
         src_ip_of=item.get("src_ip_of"),
         src_mac_of=item.get("src_mac_of"),
     )
@@ -161,19 +160,20 @@ _ACTION_PARSERS = {
 def parse_scenario(obj) -> ScenarioSpec:
     if not isinstance(obj, dict):
         raise InvalidScenario("scenario must be a JSON object")
+    if not all(isinstance(obj.get(s, []), list) for s in ("events", "preinstall")):
+        raise InvalidScenario("events and preinstall must be lists")
     events = []
     last_time = None
     for item in obj.get("events", []):
         try:
-            time, host, kind = item["time"], item["host"], item["action"]
+            time = _integer(item, "time")
+            host, kind = item["host"], item["action"]
         except (KeyError, TypeError) as e:
             raise InvalidScenario(f"event needs time/host/action: {item!r}") from e
-        if not isinstance(time, int) or time < 0:
-            raise InvalidScenario(f"event time must be a non-negative integer: {item!r}")
         if last_time is not None and time < last_time:
             raise InvalidScenario(f"event times must be non-decreasing (at {item!r})")
         last_time = time
-        if kind not in _ACTION_PARSERS:
+        if not isinstance(kind, str) or kind not in _ACTION_PARSERS:
             raise InvalidScenario(f"unknown action {kind!r}")
         try:
             action = _ACTION_PARSERS[kind](item)
@@ -184,22 +184,34 @@ def parse_scenario(obj) -> ScenarioSpec:
     preinstall = []
     for item in obj.get("preinstall", []):
         try:
+            switch, table, key, action = (
+                item[f] for f in ("switch", "table", "key", "action"))
+            params = item.get("params", {})
+            if not (all(isinstance(v, str) for v in (switch, table, action))
+                    and isinstance(key, list) and isinstance(params, dict)):
+                raise InvalidScenario(
+                    f"bad preinstall rule {item!r}: switch, table and action"
+                    " must be strings, key a list, params an object")
             preinstall.append(PreinstallRule(
-                switch=item["switch"],
-                table=item["table"],
-                key=tuple(str(k) for k in item["key"]),
-                action=item["action"],
-                params=tuple(sorted(item.get("params", {}).items())),
-            ))
+                switch, table, tuple(str(k) for k in key), action,
+                tuple(sorted(params.items()))))
         except (KeyError, TypeError) as e:
             raise InvalidScenario(f"bad preinstall rule {item!r}: {e}") from e
 
     expect = obj.get("expect", {})
     if not isinstance(expect, dict):
         raise InvalidScenario("expect must be an object")
+    hosts = expect.get("hosts", {})
+    if not isinstance(hosts, dict) or not all(isinstance(w, dict) for w in hosts.values()):
+        raise InvalidScenario("expect hosts must map host names to objects of counts")
+    for host, wanted in hosts.items():
+        for metric in wanted:
+            if metric not in COUNTERS:
+                raise InvalidScenario(f"expect for {host!r}: unknown metric {metric!r}")
+            _integer(wanted, metric)
 
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise InvalidScenario("seed must be an integer")
 
     return ScenarioSpec(
@@ -224,12 +236,12 @@ def load_scenario(path: str) -> ScenarioSpec:
 
 
 def knock_client(owner_ip: Ipv4Address, store: SequenceStore,
-                 order: tuple[int, int, int] = (0, 1, 2),
+                 order: tuple[int, ...] = (0, 1, 2),
                  spacing: int = 1,
                  include_service: bool = True) -> list[tuple[int, int]]:
     """Timed SYN probes for a host's stored sequence.
 
-    Returns (time offset, destination port) pairs: the three knocks in the
+    Returns (time offset, destination port) pairs: the knocks in the
     requested order followed by the service-port connection.
     """
     seq = store.get(owner_ip)

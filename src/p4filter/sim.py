@@ -18,18 +18,21 @@ from typing import Optional
 
 from .controller import AclEntry, Controller, SequenceStore
 from .packet import Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
-from .scenario import (InvalidScenario, KnockAction, NoSequence,
-                       OpenServiceAction, ScenarioSpec, SendAction, knock_client)
+from .scenario import (COUNTERS, InvalidScenario, KnockAction, ScenarioSpec,
+                       SendAction, knock_client)
 from .tables import Action, Rule, SchemaMismatch, TableError, KIND_IPV4, KIND_MAC
 from .topology import TopologySpec, build_network, compute_routes
 from .verdict import CONSUMED, DROPPED
-
-COUNTERS = ("sent", "delivered", "dropped", "punted", "consumed")
 
 
 class TimeReversal(Exception):
     """Something was scheduled before the tick being processed; simulation
     time would run backwards. A simulator bug, not an input condition."""
+
+
+class CountersNotConserved(Exception):
+    """A host's packets do not add up: sent differs from delivered +
+    dropped + punted + consumed. A simulator bug, not an input condition."""
 
 
 @dataclass
@@ -64,17 +67,13 @@ class RunReport:
 
 
 def evaluate_expect(report: RunReport, expect: dict) -> list[str]:
-    """Compare a report against a scenario's expect block; returns failures."""
+    """Compare a report against a scenario's expect block (checked by
+    `parse_scenario` and `Simulator.run`); returns failures."""
     failures = []
     for host, wanted in expect.get("hosts", {}).items():
-        actual = report.hosts.get(host)
-        if actual is None:
-            failures.append(f"expect references unknown host {host!r}")
-            continue
+        actual = report.hosts[host]
         for metric, value in wanted.items():
-            if metric not in COUNTERS:
-                failures.append(f"{host}: unknown metric {metric!r}")
-            elif actual[metric] != value:
+            if actual[metric] != value:
                 failures.append(
                     f"{host}: expected {metric}={value}, got {actual[metric]}")
     return failures
@@ -170,18 +169,6 @@ class Simulator:
                     sender, action.dst, dport, sport, 0x02, 64, b"",
                     action.src_ip_of, action.src_mac_of)
                 self._inject(time + offset, sender, packet)
-        elif isinstance(action, OpenServiceAction):
-            identity = action.src_ip_of or sender
-            if identity not in self.hosts:
-                raise InvalidScenario(f"unknown host {identity!r}")
-            seq = self.store.get(self.hosts[identity].ip)
-            if seq is None:
-                raise NoSequence(f"no stored sequence for {identity}")
-            sport = self._next_sport(sender)
-            packet = self._build_packet(
-                sender, action.dst, seq.service_port, sport, 0x02, 64, b"",
-                action.src_ip_of, action.src_mac_of)
-            self._inject(time, sender, packet)
         else:
             raise InvalidScenario(f"unknown action type {type(action).__name__}")
 
@@ -212,6 +199,9 @@ class Simulator:
     # -- main loop ---------------------------------------------------------
 
     def run(self, scenario: ScenarioSpec) -> RunReport:
+        for host in scenario.expect.get("hosts", {}):
+            if host not in self.hosts:
+                raise InvalidScenario(f"expect references unknown host {host!r}")
         self._apply_preinstall(scenario)
         for event in scenario.events:
             self._push(event.time, ("event", event.host, event.action))
@@ -265,13 +255,13 @@ class Simulator:
     def _report(self, scenario: ScenarioSpec) -> RunReport:
         knock_stages = {}
         for switch_id in sorted(self.network):
-            states = self.network[switch_id].knock_states
-            if states:
+            stages = self.network[switch_id].knock_stages
+            if stages:
                 knock_stages[switch_id] = {
-                    str(ip): state.stage
-                    for ip, state in sorted(states.items(), key=lambda kv: kv[0].octets)
+                    str(ip): stage
+                    for ip, stage in sorted(stages.items(), key=lambda kv: kv[0].octets)
                 }
-        return RunReport(
+        report = RunReport(
             scenario=scenario.name,
             seed=self.seed,
             trace=list(self._trace),
@@ -280,6 +270,9 @@ class Simulator:
             sequences=self.store.to_json_dict(),
             knock_stages=knock_stages,
         )
+        if not report.conservation_holds():
+            raise CountersNotConserved(f"per-host counters: {report.hosts}")
+        return report
 
 
 def _parse_key_field(kind: str, text: str):

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from . import stateful, stateless, tables
 from .bloom import DEFAULT_M, BloomPair
-from .knocking import KnockSequence, KnockState, knock_step
+from .knocking import POS_SERVICE, knock_step
 from .packet import Ipv4Address, Packet, TtlExpired, decrement_ttl
 from .tables import (
     Rule, TableSet,
@@ -82,9 +82,10 @@ class P4Switch:
         self.now = 0
         self.event_log: list[dict] = [] if event_log is None else event_log
         self.blooms = BloomPair.sized(DEFAULT_M)
-        self.knock_states: dict[Ipv4Address, KnockState] = {}
+        # stage register; each source's knock_rules ports, by position
+        self.knock_stages: dict[Ipv4Address, int] = {}
+        self._knock_ports: dict[Ipv4Address, dict[int, int]] = {}
         self.pending_punts: set[Ipv4Address] = set()
-        self._knock_staging: dict[Ipv4Address, dict[int, int]] = {}
 
         self._stateless = FEAT_STATELESS in config.features
         self._stateful = FEAT_STATEFUL in config.features
@@ -100,7 +101,8 @@ class P4Switch:
         self.check_mac = t.create("check_mac", (KIND_IPV4, KIND_MAC), tables.drop())
         self.check_ports = t.create(
             "check_ports", (KIND_PORT_ID,), tables.set_direction(stateful.EXTERNAL))
-        t.create("knock_rules", (KIND_IPV4, KIND_PORT), tables.no_action())
+        self.knock_rules = t.create(
+            "knock_rules", (KIND_IPV4, KIND_PORT), tables.no_action())
         self.ipv4_forward = t.create("ipv4_forward", (KIND_IPV4,), tables.drop())
         for port in config.internal_ports:
             self.check_ports.insert(Rule((port,), tables.set_direction(stateful.INTERNAL)))
@@ -173,13 +175,16 @@ class P4Switch:
                 if verdict.kind != FORWARDED:
                     return self._stop(STAGE_STATEFUL, p, verdict)
 
-        # 4. port knocking
+        # 4. port knocking: knock_rules gives the port's position (a miss
+        #    gives NoAction, with none), the stage register the next one
         if self._knocking:
-            state = self.knock_states.get(p.ip.src_ip)
-            if state is None:
+            src = p.ip.src_ip
+            stage = self.knock_stages.get(src)
+            if stage is None:
                 return self._stop(STAGE_KNOCKING, p, Verdict(DROPPED, "no knock state"))
-            verdict, new_state = knock_step(state, p)
-            self.knock_states[p.ip.src_ip] = new_state
+            action, _ = self.knock_rules.lookup((src, p.tcp.dst_port))
+            verdict, self.knock_stages[src] = knock_step(
+                stage, action.param("pos"), p.tcp.is_pure_syn)
             if verdict.kind != FORWARDED:
                 return self._stop(STAGE_KNOCKING, p, verdict)
 
@@ -197,27 +202,36 @@ class P4Switch:
     # -- control plane -----------------------------------------------------
 
     def apply_rule_install(self, installs: list[tuple[str, Rule]]) -> None:
-        """Install controller rules; knock rules additionally materialize or
-        refresh the sender's knocking state."""
-        touched: set[Ipv4Address] = set()
+        """Install controller rules. Knock rules stay one per (source,
+        position): a rule replaces the source's rule at its position, and a
+        port the source holds at another position moves. A source whose
+        knock rules changed restarts at stage 0 once all four positions are
+        set, and has no stage until then."""
+        changed: set[Ipv4Address] = set()
         for table_name, rule in installs:
-            self.tables[table_name].insert(rule)
-            if table_name == "present_table":
-                self.pending_punts.discard(rule.key[0])
-            elif table_name == "knock_rules":
-                ip, port = rule.key
-                pos = rule.action.param("pos")
-                if pos is None:
-                    raise tables.SchemaMismatch(
-                        "knock_rules action needs a 'pos' parameter")
-                self._knock_staging.setdefault(ip, {})[pos] = port
-                touched.add(ip)
-        for ip in touched:
-            staged = self._knock_staging[ip]
-            if set(staged) == {0, 1, 2, 3}:
-                seq = KnockSequence(
-                    knock_ports=(staged[0], staged[1], staged[2]),
-                    service_port=staged[3])
-                current = self.knock_states.get(ip)
-                if current is None or current.seq != seq:
-                    self.knock_states[ip] = KnockState(owner_ip=ip, seq=seq, stage=0)
+            table = self.tables[table_name]
+            if table is not self.knock_rules:
+                table.insert(rule)
+                if table_name == "present_table":
+                    self.pending_punts.discard(rule.key[0])
+                continue
+            pos = rule.action.param("pos")
+            if type(pos) is not int or not 0 <= pos <= POS_SERVICE:
+                raise tables.SchemaMismatch(
+                    f"knock_rules action needs an integer 'pos' in 0..3, got {pos!r}")
+            table.insert(rule)     # checks the key before anything changes
+            ip, port = rule.key
+            ports = self._knock_ports.setdefault(ip, {})
+            displaced = ports.get(pos)
+            if displaced != port:
+                if displaced is not None:
+                    table.delete((ip, displaced))
+                ports = self._knock_ports[ip] = {
+                    q: held for q, held in ports.items() if held != port}
+                ports[pos] = port
+                changed.add(ip)
+        for ip in changed:
+            if len(self._knock_ports[ip]) == 4:
+                self.knock_stages[ip] = 0
+            else:
+                self.knock_stages.pop(ip, None)

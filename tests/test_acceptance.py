@@ -15,7 +15,7 @@ from knock_reference import reference_run
 from p4filter.bloom import BloomPair
 from p4filter.bundled import SCENARIOS
 from p4filter.controller import SequenceStore, load_store, parse_acl, save_store
-from p4filter.knocking import KnockSequence, KnockState, knock_step
+from p4filter.knocking import KnockSequence, knock_step
 from p4filter.packet import (FlowKey, Ipv4Address, make_packet,
                              parse_packet, serialize_packet)
 from p4filter.scenario import parse_scenario
@@ -202,8 +202,11 @@ def test_criterion_7_knock_fsm_oracle():
     state-for-state. Exact."""
     knocks, service, other = (2222, 3333, 4444), 22, 9999
     alphabet = list(knocks) + [service, other]
-    owner = Ipv4Address.from_text("10.0.1.2")
     seq = KnockSequence(knock_ports=knocks, service_port=service)
+    # the knock_rules position each port hits, as the switch looks it up
+    ports = seq.knock_ports + (seq.service_port,)
+    pos = {dport: ports.index(dport) if dport in ports else None
+           for dport in alphabet}
     probe = {
         dport: make_packet(src_mac="02:00:00:00:01:02",
                            dst_mac="02:00:00:00:06:02",
@@ -215,11 +218,12 @@ def test_criterion_7_knock_fsm_oracle():
     strings = 0
     for length in range(6):
         for string in itertools.product(alphabet, repeat=length):
-            state = KnockState(owner_ip=owner, seq=seq, stage=0)
+            stage = 0
             moves = []
             for dport in string:
-                verdict, state = knock_step(state, probe[dport])
-                moves.append((reference_label(verdict.kind), state.stage))
+                verdict, stage = knock_step(stage, pos[dport],
+                                            probe[dport].tcp.is_pure_syn)
+                moves.append((reference_label(verdict.kind), stage))
             expected = reference_run([(dport, True) for dport in string],
                                      knocks=knocks, service=service)
             assert moves == expected, string

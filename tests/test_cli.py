@@ -202,6 +202,55 @@ class TestScenarioInputErrors:
         assert f"bad preinstall rule {rule['table']} {rule['key']}" in err
 
 
+    @pytest.mark.parametrize("scenario, message", [
+        ({"events": [{"time": True, "host": "h1", "action": "send",
+                      "dst": "h3", "dport": 80}]},
+         "time must be a non-negative integer"),
+        ({"seed": True, "events": []}, "seed must be an integer"),
+        ({"events": None}, "events and preinstall must be lists"),
+        ({"events": 5}, "events and preinstall must be lists"),
+        ({"preinstall": 5}, "events and preinstall must be lists"),
+        ({"preinstall": [{"switch": "s2", "table": "check_ip",
+                          "key": ["10.0.1.1"], "action": "SetAllowed",
+                          "params": 5}]},
+         "params an object"),
+    ], ids=["time-bool", "seed-bool", "events-null", "events-int",
+            "preinstall-int", "params-int"])
+    def test_mistyped_section_exits_two(self, tmp_path, capsys, scenario, message):
+        assert run_scenario_obj(tmp_path, scenario) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expect, message", [
+        ({"hosts": []}, "expect hosts must map host names to objects of counts"),
+        ({"hosts": {"h1": 5}}, "expect hosts must map host names to objects of counts"),
+        ({"hosts": {"h1": {"teleported": 1}}}, "unknown metric 'teleported'"),
+        ({"hosts": {"h1": {"sent": True}}}, "sent must be a non-negative integer"),
+        ({"hosts": {"h1": {"sent": -1}}}, "sent must be a non-negative integer"),
+        ({"hosts": {"h9": {"sent": 0}}}, "expect references unknown host 'h9'"),
+    ], ids=["hosts-list", "counts-int", "unknown-metric", "count-bool",
+            "count-negative", "unknown-host"])
+    def test_bad_expect_block_exits_two(self, tmp_path, capsys, expect, message):
+        code = run_scenario_obj(tmp_path, {"events": [
+            {"time": 0, "host": "h1", "action": "send", "dst": "h3",
+             "dport": 80}], "expect": expect})
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [{"pos": 7}, {"pos": True}, {}],
+                             ids=["pos-7", "pos-bool", "pos-missing"])
+    def test_preinstalled_knock_rule_pos_outside_0_to_3_exits_two(
+            self, tmp_path, capsys, params):
+        rule = {"switch": "s6", "table": "knock_rules",
+                "key": ["10.0.1.2", "2222"], "action": "SetAllowed",
+                "params": params}
+        code = run_scenario_obj(tmp_path, {"events": [],
+                                           "preinstall": [rule]})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad preinstall rule knock_rules ['10.0.1.2', '2222']" in err
+        assert "'pos' in 0..3" in err
+
+
 class TestEntryPoint:
     """The console script declared in pyproject.toml runs the CLI as its
     own process. The suite runs from a checkout, so the launcher an

@@ -6,35 +6,38 @@ from hypothesis import strategies as st
 
 from conftest import reference_label
 from knock_reference import reference_run
-from p4filter.knocking import (KnockSequence, KnockState, OwnerMismatch,
-                               knock_step)
-from p4filter.packet import Ipv4Address, make_packet, tcp_flags
+from p4filter.knocking import KnockSequence, knock_step
+from p4filter.packet import make_packet, tcp_flags
 from p4filter.verdict import CONSUMED, DROPPED, FORWARDED
 
 OWNER = "10.0.1.2"
 SEQ = KnockSequence(knock_ports=(2222, 3333, 4444), service_port=22)
 
 
-def probe(dport, flags="SYN", src=OWNER):
+def probe(dport, flags="SYN"):
     return make_packet(src_mac="02:00:00:00:01:02",
                        dst_mac="02:00:00:00:06:01",
-                       src_ip=src, dst_ip="10.0.6.1",
+                       src_ip=OWNER, dst_ip="10.0.6.1",
                        sport=40000, dport=dport,
                        flags=tcp_flags(*flags.split("|")))
 
 
-def fresh(stage=0, seq=SEQ):
-    return KnockState(owner_ip=Ipv4Address.from_text(OWNER), seq=seq,
-                      stage=stage)
+def step(stage, p, seq=SEQ):
+    """knock_step on one probe, with the probe's destination port mapped to
+    its position in `seq` the way the switch's knock_rules lookup maps it:
+    0-2 for the knock ports, 3 for the service port, None otherwise."""
+    ports = seq.knock_ports + (seq.service_port,)
+    pos = ports.index(p.tcp.dst_port) if p.tcp.dst_port in ports else None
+    return knock_step(stage, pos, p.tcp.is_pure_syn)
 
 
-def run(state, probes):
-    """Feed (dport, flags) pairs; return ([(kind, stage)], final state)."""
+def run(stage, probes, seq=SEQ):
+    """Feed (dport, flags) pairs; return ([(kind, stage)], final stage)."""
     out = []
     for dport, flags in probes:
-        verdict, state = knock_step(state, probe(dport, flags))
-        out.append((verdict.kind, state.stage))
-    return out, state
+        verdict, stage = step(stage, probe(dport, flags), seq)
+        out.append((verdict.kind, stage))
+    return out, stage
 
 
 class TestSequenceValidation:
@@ -59,40 +62,35 @@ class TestSequenceValidation:
         with pytest.raises(ValueError):
             KnockSequence(knock_ports=(2222, 3333, 4444), service_port=3333)
 
-    def test_rejects_state_stage_out_of_range(self):
-        with pytest.raises(ValueError):
-            fresh(stage=4)
-
 
 class TestHappyPath:
     def test_correct_sequence_opens_service(self):
-        moves, state = run(fresh(), [(2222, "SYN"), (3333, "SYN"),
-                                     (4444, "SYN"), (22, "SYN")])
+        moves, stage = run(0, [(2222, "SYN"), (3333, "SYN"),
+                               (4444, "SYN"), (22, "SYN")])
         assert moves == [(CONSUMED, 1), (CONSUMED, 2), (CONSUMED, 3),
                          (FORWARDED, 3)]
-        assert state.stage == 3
+        assert stage == 3
 
     def test_high_port_sequence(self):
         seq = KnockSequence(knock_ports=(59275, 10989, 18698),
                             service_port=22)
-        moves, _ = run(fresh(seq=seq),
-                       [(59275, "SYN"), (10989, "SYN"), (18698, "SYN"),
-                        (22, "SYN")])
+        moves, _ = run(0, [(59275, "SYN"), (10989, "SYN"), (18698, "SYN"),
+                           (22, "SYN")], seq=seq)
         assert [kind for kind, _ in moves] == [CONSUMED, CONSUMED, CONSUMED,
                                                FORWARDED]
 
     def test_service_stays_open(self):
-        _, state = run(fresh(), [(2222, "SYN"), (3333, "SYN"), (4444, "SYN")])
+        _, stage = run(0, [(2222, "SYN"), (3333, "SYN"), (4444, "SYN")])
         for flags in ("SYN", "ACK", "PSH|ACK", "FIN|ACK"):
-            verdict, state = knock_step(state, probe(22, flags))
+            verdict, stage = step(stage, probe(22, flags))
             assert verdict.kind == FORWARDED
             assert verdict.reason == "knock authenticated"
-            assert state.stage == 3
+            assert stage == 3
 
     def test_knock_probes_are_absorbed_not_forwarded(self):
-        state = fresh()
+        stage = 0
         for dport in (2222, 3333, 4444):
-            verdict, state = knock_step(state, probe(dport))
+            verdict, stage = step(stage, probe(dport))
             assert verdict.kind == CONSUMED
             assert verdict.reason == "knock consumed"
 
@@ -105,26 +103,26 @@ class TestWrongOrder:
                              ids=lambda p: "-".join(map(str, p)))
     def test_out_of_order_never_authenticates(self, order):
         probes = [(port, "SYN") for port in order] + [(22, "SYN")]
-        moves, state = run(fresh(), probes)
+        moves, stage = run(0, probes)
         assert moves[-1][0] == DROPPED
-        assert state.stage != 3
+        assert stage != 3
 
     def test_wrong_knock_resets_to_zero(self):
-        moves, _ = run(fresh(), [(2222, "SYN"), (4444, "SYN")])
+        moves, _ = run(0, [(2222, "SYN"), (4444, "SYN")])
         assert moves == [(CONSUMED, 1), (DROPPED, 0)]
 
     def test_early_service_probe_resets(self):
-        moves, _ = run(fresh(), [(2222, "SYN"), (3333, "SYN"), (22, "SYN")])
+        moves, _ = run(0, [(2222, "SYN"), (3333, "SYN"), (22, "SYN")])
         assert moves[-1] == (DROPPED, 0)
 
     def test_unrelated_port_resets(self):
-        moves, _ = run(fresh(), [(2222, "SYN"), (9999, "SYN")])
+        moves, _ = run(0, [(2222, "SYN"), (9999, "SYN")])
         assert moves[-1] == (DROPPED, 0)
-        _, state = run(fresh(stage=2), [(12345, "SYN")])
-        assert state.stage == 0
+        _, stage = run(2, [(12345, "SYN")])
+        assert stage == 0
 
     def test_reset_requires_restart_from_first_knock(self):
-        moves, _ = run(fresh(), [(2222, "SYN"), (4444, "SYN"),
+        moves, _ = run(0, [(2222, "SYN"), (4444, "SYN"),
                                  (3333, "SYN"), (4444, "SYN"), (22, "SYN")])
         assert moves[-1][0] == DROPPED
 
@@ -132,19 +130,19 @@ class TestWrongOrder:
 class TestFirstKnockRestart:
     @pytest.mark.parametrize("stage", [0, 1, 2, 3])
     def test_first_knock_starts_fresh_attempt(self, stage):
-        verdict, state = knock_step(fresh(stage=stage), probe(2222))
-        assert verdict.kind == CONSUMED and state.stage == 1
+        verdict, stage = step(stage, probe(2222))
+        assert verdict.kind == CONSUMED and stage == 1
 
     def test_reauthentication_from_open_state(self):
-        _, state = run(fresh(), [(2222, "SYN"), (3333, "SYN"), (4444, "SYN")])
-        assert state.stage == 3
-        moves, state = run(state, [(2222, "SYN"), (3333, "SYN"),
+        _, stage = run(0, [(2222, "SYN"), (3333, "SYN"), (4444, "SYN")])
+        assert stage == 3
+        moves, stage = run(stage, [(2222, "SYN"), (3333, "SYN"),
                                    (4444, "SYN"), (22, "SYN")])
         assert moves == [(CONSUMED, 1), (CONSUMED, 2), (CONSUMED, 3),
                          (FORWARDED, 3)]
 
     def test_double_first_knock_stays_at_one(self):
-        moves, _ = run(fresh(), [(2222, "SYN"), (2222, "SYN"), (3333, "SYN"),
+        moves, _ = run(0, [(2222, "SYN"), (2222, "SYN"), (3333, "SYN"),
                                  (4444, "SYN"), (22, "SYN")])
         assert moves == [(CONSUMED, 1), (CONSUMED, 1), (CONSUMED, 2),
                          (CONSUMED, 3), (FORWARDED, 3)]
@@ -154,32 +152,20 @@ class TestNonSynTraffic:
     @pytest.mark.parametrize("stage", [0, 1, 2])
     def test_non_syn_drops_without_touching_stage(self, stage):
         for flags in ("ACK", "SYN|ACK", "RST", "FIN"):
-            verdict, state = knock_step(fresh(stage=stage),
-                                        probe(2222, flags))
+            verdict, after = step(stage, probe(2222, flags))
             assert verdict.kind == DROPPED
             assert verdict.reason == "knock drop"
-            assert state.stage == stage
+            assert after == stage
 
     def test_non_syn_to_service_before_auth_drops(self):
-        verdict, state = knock_step(fresh(stage=2), probe(22, "ACK"))
-        assert verdict.kind == DROPPED and state.stage == 2
+        verdict, stage = step(2, probe(22, "ACK"))
+        assert verdict.kind == DROPPED and stage == 2
 
     def test_stage3_non_syn_non_service_drops_keeping_stage(self):
-        verdict, state = knock_step(fresh(stage=3), probe(2222, "ACK"))
-        assert verdict.kind == DROPPED and state.stage == 3
-        verdict, state = knock_step(fresh(stage=3), probe(9999, "PSH|ACK"))
-        assert verdict.kind == DROPPED and state.stage == 3
-
-
-class TestOwnership:
-    def test_foreign_source_raises(self):
-        with pytest.raises(OwnerMismatch):
-            knock_step(fresh(), probe(2222, src="10.0.5.1"))
-
-    def test_state_is_immutable(self):
-        state = fresh()
-        knock_step(state, probe(2222))
-        assert state.stage == 0
+        verdict, stage = step(3, probe(2222, "ACK"))
+        assert verdict.kind == DROPPED and stage == 3
+        verdict, stage = step(3, probe(9999, "PSH|ACK"))
+        assert verdict.kind == DROPPED and stage == 3
 
 
 class TestReferenceEquivalence:
@@ -194,12 +180,12 @@ class TestReferenceEquivalence:
                     max_size=8))
     @settings(max_examples=500)
     def test_mixed_flag_strings_agree(self, string):
-        state = fresh()
+        stage = 0
         got = []
         for dport, pure_syn in string:
-            verdict, state = knock_step(
-                state, probe(dport, "SYN" if pure_syn else "ACK"))
-            got.append((reference_label(verdict.kind), state.stage))
+            verdict, stage = step(
+                stage, probe(dport, "SYN" if pure_syn else "ACK"))
+            got.append((reference_label(verdict.kind), stage))
         expected = reference_run(string, knocks=(2222, 3333, 4444),
                                  service=22)
         assert got == expected
@@ -209,14 +195,14 @@ class TestReferenceEquivalence:
                     max_size=5))
     @settings(max_examples=300)
     def test_agreement_from_every_starting_stage(self, stage, string):
-        state = fresh(stage=stage)
+        start = stage
         got = []
         for dport, pure_syn in string:
-            verdict, state = knock_step(
-                state, probe(dport, "SYN" if pure_syn else "PSH|ACK"))
-            got.append((reference_label(verdict.kind), state.stage))
+            verdict, stage = step(
+                stage, probe(dport, "SYN" if pure_syn else "PSH|ACK"))
+            got.append((reference_label(verdict.kind), stage))
         expected = reference_run(string, knocks=(2222, 3333, 4444),
-                                 service=22, stage=stage)
+                                 service=22, stage=start)
         assert got == expected
 
     @given(st.lists(st.tuples(st.sampled_from(ALPHABET), st.booleans()),
@@ -225,10 +211,10 @@ class TestReferenceEquivalence:
     def test_forward_only_when_authenticated(self, string):
         """Safety: Forward can only ever be emitted for service-port
         traffic at stage 3."""
-        state = fresh()
+        stage = 0
         for dport, pure_syn in string:
-            before = state.stage
-            verdict, state = knock_step(
-                state, probe(dport, "SYN" if pure_syn else "ACK"))
+            before = stage
+            verdict, stage = step(
+                stage, probe(dport, "SYN" if pure_syn else "ACK"))
             if verdict.kind == FORWARDED:
                 assert before == 3 and dport == 22

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from conftest import run_bundled
+from conftest import load_bundled_scenario, run_bundled
 from p4filter.bundled import SCENARIOS
 from p4filter.controller import SequenceStore, load_store, parse_acl
 from p4filter.scenario import (InvalidScenario, NoSequence, ScenarioEvent, ScenarioSpec,
                                SendAction, parse_scenario)
-from p4filter.sim import RunReport, TimeReversal, evaluate_expect, run_scenario
+from p4filter.sim import (CountersNotConserved, RunReport, Simulator, TimeReversal,
+                         evaluate_expect, run_scenario)
 
 
 def simulate(default_topology, obj, acl_entries=(), store=None, seed=None):
@@ -229,14 +230,12 @@ class TestReportChecks:
     def test_evaluate_expect_reports_mismatches(self, default_topology):
         report, scenario = run_bundled("stateful_iperf", default_topology)
         failures = evaluate_expect(report, {"hosts": {
-            "h1": {"delivered": 99},
-            "h9": {"sent": 0},
-            "h3": {"teleported": 1},
+            "h1": {"delivered": 99, "sent": 5},
+            "h3": {"dropped": 7},
         }})
         assert set(failures) == {
             "h1: expected delivered=99, got 5",
-            "h3: unknown metric 'teleported'",
-            "expect references unknown host 'h9'",
+            "h3: expected dropped=7, got 3",
         }
 
     def test_conservation_detects_losses(self):
@@ -246,6 +245,14 @@ class TestReportChecks:
                                          "dropped": 1, "punted": 0,
                                          "consumed": 0}})
         assert not report.conservation_holds()
+
+    def test_report_refuses_counters_that_do_not_conserve(
+            self, default_topology, monkeypatch):
+        scenario, _ = load_bundled_scenario("stateless_block")
+        sim = Simulator(default_topology, {}, SequenceStore(), seed=0)
+        monkeypatch.setitem(sim._stats["h2"], "sent", 1)
+        with pytest.raises(CountersNotConserved, match="'h2': {'sent': 1, "):
+            sim.run(scenario)
 
     def test_canonical_text_is_valid_sorted_json(self, default_topology):
         report, _ = run_bundled("spoof", default_topology)

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from p4filter import tables as tb
-from p4filter.knocking import KnockSequence
 from p4filter.packet import (Ipv4Address, MacAddr, make_packet,
                              parse_packet, serialize_packet, tcp_flags)
 from p4filter.switch import (CPU_PORT, FEAT_KNOCKING, FEAT_STATEFUL,
@@ -242,29 +241,61 @@ class TestKnockingStage:
         assert sw.event_log[-1]["reason"] == "wrong knock"
 
 
+def knock_positions(sw):
+    """knock_rules as {(source text, port): pos}."""
+    return {(str(src), port): rule.action.param("pos")
+            for (src, port), rule in sw.knock_rules.rules.items()}
+
+
 class TestKnockStateAssembly:
     def test_state_materializes_when_all_positions_present(self):
         sw = switch(features=[FEAT_KNOCKING])
         installs = knock_installs(A_IP, knocks=(5555, 6666, 7777), service=22)
         sw.apply_rule_install(installs[:3])
-        assert ip(A_IP) not in sw.knock_states
+        assert ip(A_IP) not in sw.knock_stages
         sw.apply_rule_install(installs[3:])
-        state = sw.knock_states[ip(A_IP)]
-        assert state.seq == KnockSequence((5555, 6666, 7777), 22)
-        assert state.stage == 0
+        assert sw.knock_stages[ip(A_IP)] == 0
+        assert knock_positions(sw) == {
+            (A_IP, 5555): 0, (A_IP, 6666): 1, (A_IP, 7777): 2, (A_IP, 22): 3}
 
     def test_reinstalling_same_sequence_keeps_progress(self):
         sw = self.progressed()
         sw.apply_rule_install(knock_installs(A_IP))
-        assert sw.knock_states[ip(A_IP)].stage == 2
+        assert sw.knock_stages[ip(A_IP)] == 2
 
     def test_changing_sequence_resets_progress(self):
         sw = self.progressed()
         sw.apply_rule_install(knock_installs(A_IP,
                                              knocks=(5555, 6666, 7777)))
-        state = sw.knock_states[ip(A_IP)]
-        assert state.stage == 0
-        assert state.seq.knock_ports == (5555, 6666, 7777)
+        assert sw.knock_stages[ip(A_IP)] == 0
+        # the new rules replace the old ones position by position
+        assert knock_positions(sw) == {
+            (A_IP, 5555): 0, (A_IP, 6666): 1, (A_IP, 7777): 2, (A_IP, 80): 3}
+        for dport in (2222, 3333):
+            assert sw.process_packet(1, pkt(dport=dport)) is None
+            assert sw.event_log[-1]["reason"] == "wrong knock"
+            assert sw.knock_stages[ip(A_IP)] == 0
+
+    def test_swapped_positions_keep_one_rule_per_position(self):
+        sw = self.progressed()
+        sw.apply_rule_install(knock_installs(A_IP, knocks=(3333, 2222, 4444)))
+        assert knock_positions(sw) == {
+            (A_IP, 3333): 0, (A_IP, 2222): 1, (A_IP, 4444): 2, (A_IP, 80): 3}
+        assert sw.knock_stages[ip(A_IP)] == 0
+        for dport in (3333, 2222, 4444):
+            sw.process_packet(1, pkt(dport=dport))
+        assert sw.process_packet(1, pkt(dport=80)).egress_port == 3
+
+    def test_moving_a_port_displaces_the_rule_at_its_new_position(self):
+        sw = self.progressed()
+        sw.apply_rule_install([("knock_rules", tb.Rule(
+            (ip(A_IP), 3333), tb.set_allowed(pos=0)))])
+        # 2222 lost position 0 and position 1 is now empty
+        assert knock_positions(sw) == {
+            (A_IP, 3333): 0, (A_IP, 4444): 2, (A_IP, 80): 3}
+        assert ip(A_IP) not in sw.knock_stages
+        assert sw.process_packet(1, pkt(dport=3333)) is None
+        assert sw.event_log[-1]["reason"] == "no knock state"
 
     def test_knock_rule_without_pos_rejected(self):
         sw = switch(features=[FEAT_KNOCKING])
@@ -273,14 +304,26 @@ class TestKnockStateAssembly:
                                     tb.Rule((ip(A_IP), 2222),
                                             tb.set_allowed()))])
 
+    @pytest.mark.parametrize("pos", [7, -1, True, "0", None],
+                             ids=["seven", "negative", "bool", "text", "none"])
+    def test_knock_rule_pos_outside_0_to_3_rejected_untouched(self, pos):
+        sw = self.progressed()
+        with pytest.raises(tb.SchemaMismatch, match="'pos' in 0..3"):
+            sw.apply_rule_install([("knock_rules", tb.Rule(
+                (ip(A_IP), 2222), tb.set_allowed(pos=pos)))])
+        assert knock_positions(sw) == {
+            (A_IP, 2222): 0, (A_IP, 3333): 1, (A_IP, 4444): 2, (A_IP, 80): 3}
+        assert sw.knock_stages[ip(A_IP)] == 2
+
     def progressed(self):
         sw = switch(features=[FEAT_KNOCKING])
         sw.apply_rule_install(
             [("present_table", tb.Rule((ip(A_IP),), tb.set_allowed()))]
             + knock_installs(A_IP))
+        route(sw, D_IP, 3)
         sw.process_packet(1, pkt(dport=2222))
         sw.process_packet(1, pkt(dport=3333))
-        assert sw.knock_states[ip(A_IP)].stage == 2
+        assert sw.knock_stages[ip(A_IP)] == 2
         return sw
 
 
