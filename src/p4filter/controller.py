@@ -82,7 +82,7 @@ def load_acl(path: str) -> dict[Ipv4Address, AclEntry]:
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:   # ValueError: a NUL in the path
         raise MalformedAcl(f"cannot read ACL file {path}: {e}") from e
     try:
         obj = json.loads(text)

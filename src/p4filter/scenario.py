@@ -97,6 +97,27 @@ def _integer(item: dict, name: str, default: Optional[int] = None,
     return value
 
 
+def _text(item: dict, name: str, optional: bool = False) -> Optional[str]:
+    """item[name] checked to be a string; with `optional`, absent or null
+    gives None. A list or object here would reach the host lookups."""
+    value = item.get(name) if optional else item[name]
+    if not (isinstance(value, str) or (optional and value is None)):
+        kind = "a string or null" if optional else "a string"
+        raise InvalidScenario(f"{name} must be {kind}: {item!r}")
+    return value
+
+
+def _targets(item: dict) -> tuple[str, Optional[str], Optional[str]]:
+    """An action's `dst`, `src_ip_of` and `src_mac_of`, checked as `_text`
+    checks them; the common all-valid case costs no call per field."""
+    dst, ip_of, mac_of = item["dst"], item.get("src_ip_of"), item.get("src_mac_of")
+    if (type(dst) is str and (ip_of is None or type(ip_of) is str)
+            and (mac_of is None or type(mac_of) is str)):
+        return dst, ip_of, mac_of
+    return (_text(item, "dst"), _text(item, "src_ip_of", optional=True),
+            _text(item, "src_mac_of", optional=True))
+
+
 def _parse_send(item: dict) -> SendAction:
     flags = item.get("flags", ["SYN"])
     if not isinstance(flags, list):
@@ -108,18 +129,22 @@ def _parse_send(item: dict) -> SendAction:
     payload = item.get("payload", "")
     if not isinstance(payload, str):
         raise InvalidScenario(f"payload must be a string: {item!r}")
-    payload = payload.encode()
+    try:
+        payload = payload.encode()
+    except UnicodeEncodeError as e:   # JSON can spell a lone surrogate
+        raise InvalidScenario(f"payload must be valid Unicode text: {item!r}") from e
     if len(payload) > MAX_PAYLOAD:
         raise InvalidScenario(f"payload is longer than {MAX_PAYLOAD} bytes")
+    dst, src_ip_of, src_mac_of = _targets(item)
     return SendAction(
-        dst=item["dst"],
+        dst=dst,
         dport=_integer(item, "dport", high=0xFFFF),
         sport=_integer(item, "sport", high=0xFFFF) if item.get("sport") is not None else None,
         flags=tuple(flags),
         payload=payload,
         ttl=_integer(item, "ttl", 64, high=0xFF),
-        src_ip_of=item.get("src_ip_of"),
-        src_mac_of=item.get("src_mac_of"),
+        src_ip_of=src_ip_of,
+        src_mac_of=src_mac_of,
         repeat=_integer(item, "repeat", 1),
         gap=_integer(item, "gap", 1),
     )
@@ -130,24 +155,24 @@ def _parse_knock(item: dict) -> KnockAction:
     if (not isinstance(order, list) or any(type(i) is not int for i in order)
             or sorted(order) != [0, 1, 2]):
         raise InvalidScenario(f"knock order must permute [0, 1, 2]: {order!r}")
+    include_service = item.get("include_service", True)
+    if type(include_service) is not bool:
+        raise InvalidScenario(f"include_service must be true or false: {item!r}")
+    dst, src_ip_of, src_mac_of = _targets(item)
     return KnockAction(
-        dst=item["dst"],
-        sequence_of=item.get("sequence_of"),
+        dst=dst,
+        sequence_of=_text(item, "sequence_of", optional=True),
         order=tuple(order),
         spacing=_integer(item, "spacing", 1),
-        include_service=item.get("include_service", True),
-        src_ip_of=item.get("src_ip_of"),
-        src_mac_of=item.get("src_mac_of"),
+        include_service=include_service,
+        src_ip_of=src_ip_of,
+        src_mac_of=src_mac_of,
     )
 
 
 def _parse_open_service(item: dict) -> KnockAction:
-    return KnockAction(
-        dst=item["dst"],
-        order=(),
-        src_ip_of=item.get("src_ip_of"),
-        src_mac_of=item.get("src_mac_of"),
-    )
+    dst, src_ip_of, src_mac_of = _targets(item)
+    return KnockAction(dst=dst, order=(), src_ip_of=src_ip_of, src_mac_of=src_mac_of)
 
 
 _ACTION_PARSERS = {
@@ -170,6 +195,8 @@ def parse_scenario(obj) -> ScenarioSpec:
             host, kind = item["host"], item["action"]
         except (KeyError, TypeError) as e:
             raise InvalidScenario(f"event needs time/host/action: {item!r}") from e
+        if not isinstance(host, str):
+            raise InvalidScenario(f"host must be a string: {item!r}")
         if last_time is not None and time < last_time:
             raise InvalidScenario(f"event times must be non-decreasing (at {item!r})")
         last_time = time
@@ -201,6 +228,9 @@ def parse_scenario(obj) -> ScenarioSpec:
     expect = obj.get("expect", {})
     if not isinstance(expect, dict):
         raise InvalidScenario("expect must be an object")
+    unknown = [k for k in expect if k != "hosts"]
+    if unknown:
+        raise InvalidScenario(f"expect may only hold 'hosts', not {unknown!r}")
     hosts = expect.get("hosts", {})
     if not isinstance(hosts, dict) or not all(isinstance(w, dict) for w in hosts.values()):
         raise InvalidScenario("expect hosts must map host names to objects of counts")
@@ -213,9 +243,18 @@ def parse_scenario(obj) -> ScenarioSpec:
     seed = obj.get("seed", 0)
     if type(seed) is not int:
         raise InvalidScenario("seed must be an integer")
+    name = obj.get("name", "scenario")
+    if not isinstance(name, str):
+        raise InvalidScenario(f"name must be a string: {name!r}")
+    try:
+        name.encode()   # the run's summary line prints it
+    except UnicodeEncodeError as e:
+        raise InvalidScenario(f"name must be valid Unicode text: {name!r}") from e
+    if not isinstance(obj.get("acl", ""), str):
+        raise InvalidScenario(f"acl must be a string: {obj['acl']!r}")
 
     return ScenarioSpec(
-        name=obj.get("name", "scenario"),
+        name=name,
         seed=seed,
         acl_path=obj.get("acl"),
         events=tuple(events),

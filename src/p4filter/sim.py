@@ -11,16 +11,17 @@ punting switch within the same tick, before any later event is processed.
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .controller import AclEntry, Controller, SequenceStore
 from .packet import Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
+from .render import render
 from .scenario import (COUNTERS, InvalidScenario, KnockAction, ScenarioSpec,
                        SendAction, knock_client)
-from .tables import Action, Rule, SchemaMismatch, TableError, KIND_IPV4, KIND_MAC
+from .tables import (FORWARD, Action, Rule, SchemaMismatch, TableError, KIND_IPV4,
+                     KIND_MAC)
 from .topology import TopologySpec, build_network, compute_routes
 from .verdict import CONSUMED, DROPPED
 
@@ -57,7 +58,9 @@ class RunReport:
         }
 
     def canonical_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)` plus
+        a newline, rendered in one pass (see `render`)."""
+        return render(self.to_json_dict())
 
     def conservation_holds(self) -> bool:
         return all(
@@ -190,6 +193,12 @@ class Simulator:
                     for kind, text in zip(table.schema, pre.key)
                 )
                 action = Action.make(pre.action, **dict(pre.params))
+                # the pipeline sends a packet out of a route's port
+                if (table is switch.ipv4_forward and action.kind == FORWARD
+                        and type(action.param("port")) is not int):
+                    raise SchemaMismatch(
+                        "a Forward route needs an integer 'port',"
+                        f" got {action.param('port')!r}")
                 switch.apply_rule_install([(pre.table, Rule(key, action))])
             except (TableError, ValueError) as e:
                 raise InvalidScenario(

@@ -206,12 +206,15 @@ class P4Switch:
         position): a rule replaces the source's rule at its position, and a
         port the source holds at another position moves. A source whose
         knock rules changed restarts at stage 0 once all four positions are
-        set, and has no stage until then."""
+        set, and has no stage until then. A rule object that is already
+        installed under its key is not inserted again: the controller hands
+        out the same route rules on every punt."""
         changed: set[Ipv4Address] = set()
         for table_name, rule in installs:
             table = self.tables[table_name]
             if table is not self.knock_rules:
-                table.insert(rule)
+                if table.rules.get(rule.key) is not rule:
+                    table.insert(rule)
                 if table_name == "present_table":
                     self.pending_punts.discard(rule.key[0])
                 continue

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import p4filter
-from p4filter.bundled import default_topology_path, scenario_path
+from p4filter.bundled import data_file, default_topology_path, scenario_path
 from p4filter.cli import main
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
@@ -174,10 +174,12 @@ class TestScenarioInputErrors:
         ({"flags": ["BOGUS"]}, "unknown TCP flag 'BOGUS'"),
         ({"payload": 5}, "payload must be a string"),
         ({"payload": "x" * 65496}, "payload is longer than 65495 bytes"),
+        ({"payload": "\ud800"}, "payload must be valid Unicode text"),
         ({"repeat": "2"}, "repeat must be a non-negative integer"),
         ({"repeat": -1}, "repeat must be a non-negative integer"),
     ], ids=["ttl-300", "dport-text", "dport-bool", "sport-70000", "unknown-flag",
-            "payload-int", "payload-too-long", "repeat-text", "repeat-negative"])
+            "payload-int", "payload-too-long", "payload-surrogate", "repeat-text",
+            "repeat-negative"])
     def test_bad_send_field_exits_two(self, tmp_path, capsys, fields, message):
         send = {"time": 0, "host": "h1", "action": "send", "dst": "h3", "dport": 80}
         code = run_scenario_obj(tmp_path, {"events": [{**send, **fields}]})
@@ -193,7 +195,10 @@ class TestScenarioInputErrors:
          "action": "Drop"},
         {"switch": "s2", "table": "check_ip", "key": ["10.0.1.1", "x"],
          "action": "Drop"},
-    ], ids=["unknown-table", "bad-key-field", "short-key", "long-key"])
+        {"switch": "s3", "table": "ipv4_forward", "key": ["10.0.1.3"],
+         "action": "Forward", "params": {"port": [1]}},
+    ], ids=["unknown-table", "bad-key-field", "short-key", "long-key",
+            "forward-port-list"])
     def test_bad_preinstall_rule_exits_two(self, tmp_path, capsys, rule):
         code = run_scenario_obj(tmp_path, {"events": [],
                                            "preinstall": [rule]})
@@ -214,8 +219,32 @@ class TestScenarioInputErrors:
                           "key": ["10.0.1.1"], "action": "SetAllowed",
                           "params": 5}]},
          "params an object"),
+        ({"name": 5, "events": []}, "name must be a string"),
+        ({"events": [{"time": 0, "host": ["h1"], "action": "send",
+                      "dst": "h3", "dport": 80}]}, "host must be a string"),
+        ({"events": [{"time": 0, "host": "h1", "action": "send",
+                      "dst": ["h3"], "dport": 80}]}, "dst must be a string"),
+        ({"events": [{"time": 0, "host": "h1", "action": "send", "dst": "h3",
+                      "dport": 80, "src_ip_of": ["h2"]}]},
+         "src_ip_of must be a string or null"),
+        ({"events": [{"time": 0, "host": "h1", "action": "send", "dst": "h3",
+                      "dport": 80, "src_mac_of": {"host": "h2"}}]},
+         "src_mac_of must be a string or null"),
+        ({"events": [{"time": 0, "host": "h2", "action": "knock", "dst": "h7",
+                      "sequence_of": ["h2"]}]},
+         "sequence_of must be a string or null"),
+        ({"name": "\ud800", "events": []}, "name must be valid Unicode text"),
+        ({"acl": 5, "events": []}, "acl must be a string"),
+        ({"acl": "a\x00b", "events": []}, "cannot read ACL file"),
+        ({"acl": data_file("acl_knock.json"), "events": [
+            {"time": 0, "host": "h2", "action": "send", "dst": "h7", "dport": 22},
+            {"time": 10, "host": "h2", "action": "knock", "dst": "h7",
+             "include_service": "no"}]},
+         "include_service must be true or false"),
     ], ids=["time-bool", "seed-bool", "events-null", "events-int",
-            "preinstall-int", "params-int"])
+            "preinstall-int", "params-int", "name-int", "host-list", "dst-list",
+            "src_ip_of-list", "src_mac_of-object", "sequence_of-list",
+            "name-surrogate", "acl-int", "acl-nul", "include_service-text"])
     def test_mistyped_section_exits_two(self, tmp_path, capsys, scenario, message):
         assert run_scenario_obj(tmp_path, scenario) == 2
         assert message in capsys.readouterr().err
@@ -227,8 +256,9 @@ class TestScenarioInputErrors:
         ({"hosts": {"h1": {"sent": True}}}, "sent must be a non-negative integer"),
         ({"hosts": {"h1": {"sent": -1}}}, "sent must be a non-negative integer"),
         ({"hosts": {"h9": {"sent": 0}}}, "expect references unknown host 'h9'"),
+        ({"h1": {"sent": 5}}, "expect may only hold 'hosts', not ['h1']"),
     ], ids=["hosts-list", "counts-int", "unknown-metric", "count-bool",
-            "count-negative", "unknown-host"])
+            "count-negative", "unknown-host", "key-not-hosts"])
     def test_bad_expect_block_exits_two(self, tmp_path, capsys, expect, message):
         code = run_scenario_obj(tmp_path, {"events": [
             {"time": 0, "host": "h1", "action": "send", "dst": "h3",

@@ -9,7 +9,8 @@ from p4filter import controller as ctl
 from p4filter import tables as tb
 from p4filter.knocking import KnockSequence
 from p4filter.packet import Ipv4Address, MacAddr, make_packet, serialize_packet
-from p4filter.switch import FEAT_KNOCKING, FEAT_STATEFUL, FEAT_STATELESS
+from p4filter.switch import (FEAT_KNOCKING, FEAT_STATEFUL, FEAT_STATELESS,
+                             P4Switch, SwitchConfig)
 
 H_IP = "10.0.1.2"
 H_MAC = "02:00:00:00:01:02"
@@ -317,6 +318,43 @@ class TestIdempotenceAndStability:
         second = by_table(c2.handle_packet_in("sw_knock", punt_bytes()))
         assert ([r.key[1] for r in first["knock_rules"]]
                 == [r.key[1] for r in second["knock_rules"]])
+
+
+class TestInstallsOnTheSwitch:
+    """The controller hands out the same route rule objects on every
+    punt; the switch inserts a rule only when its key holds another."""
+
+    @staticmethod
+    def knock_switch():
+        return P4Switch(SwitchConfig(switch_id="sw_knock", ports=(1, 2, 3),
+                                     features=frozenset({FEAT_KNOCKING})))
+
+    def test_second_punt_inserts_only_the_non_route_rules(self, tmp_path, monkeypatch):
+        c, sw = build_controller(tmp_path), self.knock_switch()
+        sw.apply_rule_install(c.handle_packet_in("sw_knock", punt_bytes()))
+        routes = dict(sw.ipv4_forward.rules)
+        inserted = []
+        insert = tb.Table.insert
+        monkeypatch.setattr(tb.Table, "insert", lambda table, rule: (
+            inserted.append((table.name, rule)), insert(table, rule))[1])
+        installs = c.handle_packet_in("sw_knock", punt_bytes(src_ip="10.0.1.9"))
+        sw.apply_rule_install(installs)
+        assert "ipv4_forward" in by_table(installs)
+        assert sw.ipv4_forward.rules == routes
+        assert all(sw.ipv4_forward.rules[key] is rule for key, rule in routes.items())
+        assert inserted == [(t, r) for t, r in installs if t != "ipv4_forward"]
+
+    def test_equal_preinstalled_route_is_replaced_by_the_controllers_rule(
+            self, tmp_path):
+        c, sw = build_controller(tmp_path), self.knock_switch()
+        preinstalled = tb.Rule((ip("10.0.1.2"),), tb.forward(1))
+        sw.apply_rule_install([("ipv4_forward", preinstalled)])
+        installs = c.handle_packet_in("sw_knock", punt_bytes())
+        sw.apply_rule_install(installs)
+        route = next(r for t, r in installs
+                     if t == "ipv4_forward" and r.key == preinstalled.key)
+        assert route == preinstalled and route is not preinstalled
+        assert sw.ipv4_forward.rules[route.key] is route
 
 
 class TestPersistence:

@@ -1,31 +1,54 @@
 """Guards that the benchmark relies on, run with the main suite.
 
 The four bundled scenarios must keep the report bytes recorded in
-bench/golden_digests.json, and every name bench/tracing.py patches must
-still live where it looks for it; otherwise a refactor could change
-report bytes, or silently stop timing a layer, and still pass here.
+bench/golden_digests.json, the benchmark's seed-1 workloads the ones
+recorded here, and every name bench/tracing.py patches must still live
+where it looks for it; otherwise a refactor could change report bytes,
+or silently stop timing a layer, and still pass here.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
 from conftest import run_bundled
 from p4filter.bundled import SCENARIOS
+from p4filter.controller import SequenceStore, parse_acl
+from p4filter.scenario import parse_scenario
+from p4filter.sim import Simulator
+from p4filter.topology import parse_topology
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
 
 
-def load_tracing():
+# The seed-1 report digests of the benchmark's workloads, at the sizes
+# bench/harness.py runs them.
+WORKLOAD_DIGESTS = {
+    ("stateful_forward", 600):
+        "854089bd8a0b55ea83b5bd825ae79e8c1e706d610b72b71af90ea243b6f519ea",
+    ("knock_admission", 300):
+        "e24cc5087108763889a2b6a0dc9f79bda125127005d3db66d71151855b9da7f7",
+    ("authorized_service", 30):
+        "5da5eb84298ab7317760efee1ab0b8211d47d0ad89115d69ac75965f8a59f4b4",
+}
+
+
+def load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracing", os.path.join(BENCH, "tracing.py"))
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench("tracing")
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +62,18 @@ def test_bundled_report_matches_golden_digest(name, golden, default_topology):
     report, _ = run_bundled(name, default_topology)
     digest = hashlib.sha256(report.canonical_text().encode()).hexdigest()
     assert digest == golden[name]
+
+
+@pytest.mark.parametrize("name, size", WORKLOAD_DIGESTS,
+                         ids=[name for name, _ in WORKLOAD_DIGESTS])
+def test_workload_report_matches_recorded_digest(name, size):
+    wl = load_bench("workloads").GENERATORS[name](1, size)
+    spec = parse_scenario(json.loads(wl.scenario_text))
+    report = Simulator(parse_topology(json.loads(wl.topology_text)),
+                       parse_acl(json.loads(wl.acl_text)), SequenceStore(),
+                       seed=spec.seed).run(spec)
+    digest = hashlib.sha256(report.canonical_text().encode()).hexdigest()
+    assert digest == WORKLOAD_DIGESTS[name, size]
 
 
 def test_every_traced_name_resolves():

@@ -1,10 +1,15 @@
 """Every input parser, fed any JSON value, returns a spec or raises its own
-named exception: never a TypeError, AttributeError or other traceback."""
+named exception: never a TypeError, AttributeError or other traceback. The
+`run` command, fed any JSON scenario, exits 0, 1 or 2."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p4filter import cli
+from p4filter.bundled import data_file, default_topology_path
 from p4filter.controller import MalformedAcl, MalformedStore, parse_acl, parse_store
 from p4filter.scenario import InvalidScenario, parse_scenario
 from p4filter.topology import InvalidTopology, parse_topology
@@ -47,3 +52,69 @@ def test_parser_returns_a_spec_or_raises_its_named_error(parse, error, value):
         parse(value)
     except error:
         pass
+
+
+# Events close enough to valid ones that most runs get past the parser:
+# host names the bundled topology knows, increasing times, and small
+# counts; then, in about half the scenarios, one field of one event is
+# swapped for any JSON value that is not an integer (so no run is long).
+HOSTS = ["h1", "h2", "h3", "h5", "h7", "h9"]
+event_fields = {
+    "sport": st.integers(0, 65535),
+    "flags": st.lists(st.sampled_from(["SYN", "ACK", "FIN"]), max_size=2),
+    "payload": st.sampled_from(["", "x", "\ud800", "\x00"]),
+    "ttl": st.integers(0, 3), "repeat": st.integers(0, 3), "gap": st.integers(0, 2),
+    "src_ip_of": st.sampled_from(HOSTS), "src_mac_of": st.sampled_from(HOSTS),
+    "sequence_of": st.sampled_from(HOSTS),
+    "order": st.permutations([0, 1, 2]), "spacing": st.integers(0, 2),
+    "include_service": st.booleans(),
+}
+required_fields = {
+    "host": st.sampled_from(HOSTS), "dst": st.sampled_from(HOSTS),
+    "action": st.sampled_from(["send", "knock", "open_service"]),
+    "dport": st.sampled_from([22, 80]),
+}
+events = st.lists(st.fixed_dictionaries(required_fields, optional=event_fields),
+                  max_size=4)
+
+
+@st.composite
+def event_lists(draw):
+    evs = [{"time": 5 * i, **e} for i, e in enumerate(draw(events))]
+    if evs and draw(st.booleans()):
+        event = draw(st.sampled_from(evs))
+        field = draw(st.sampled_from([*required_fields, *event_fields]))
+        event[field] = draw(json_values.filter(lambda v: type(v) is not int))
+    return evs
+
+
+preinstall_rules = st.fixed_dictionaries({
+    "switch": st.sampled_from(["s1", "s2", "s6"]),
+    "table": st.sampled_from(["ipv4_forward", "check_ports", "present_table",
+                              "knock_rules", "check_ip"]),
+    "key": st.lists(st.sampled_from(["10.0.1.2", "10.0.1.1", "3", "22"]), max_size=2),
+    "action": st.sampled_from(["Forward", "SetDirection", "SetAllowed", "Drop"]),
+    "params": st.dictionaries(st.sampled_from(["port", "dir", "pos"]), json_values,
+                              max_size=2)})
+scenarios = st.fixed_dictionaries({"events": event_lists()}, optional={
+    "name": st.text(max_size=4) | st.just("\ud800") | json_values,
+    "seed": st.integers() | json_values,
+    "acl": st.sampled_from([data_file("acl_knock.json"), "absent.json", "a\x00b"])
+    | json_values,
+    "preinstall": st.lists(preinstall_rules, max_size=2) | json_values,
+    "expect": st.fixed_dictionaries({"hosts": st.dictionaries(
+        st.sampled_from(HOSTS), st.dictionaries(
+            st.sampled_from(["sent", "delivered"]), st.integers(0, 3)))}) | json_values,
+}) | json_values
+
+
+@given(scenario=scenarios, with_acl=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_run_command_exits_0_1_or_2_on_any_scenario(tmp_path_factory, scenario,
+                                                     with_acl):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    argv = ["run", "--topology", default_topology_path(), "--scenario", str(path)]
+    if with_acl:
+        argv += ["--acl", data_file("acl_knock.json")]
+    assert cli.main(argv) in (0, 1, 2)

@@ -54,10 +54,10 @@ class TestParsing:
             [send_event()],
             preinstall=[{"switch": "s2", "table": "check_ip",
                          "key": ["10.0.1.1"], "action": "SetAllowed"}],
-            expect={"h3": {"delivered": 1}}))
+            expect={"hosts": {"h3": {"delivered": 1}}}))
         rule = spec.preinstall[0]
         assert rule.switch == "s2" and rule.key == ("10.0.1.1",)
-        assert spec.expect == {"h3": {"delivered": 1}}
+        assert spec.expect == {"hosts": {"h3": {"delivered": 1}}}
 
     @pytest.mark.parametrize("bad,match", [
         ([1, 2], "JSON object"),
