@@ -23,6 +23,10 @@ EXIT_EXPECT_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
+class ReportNotWritten(Exception):
+    """The run report could not be written to the --out path."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p4filter",
@@ -65,8 +69,11 @@ def _cmd_run(args) -> int:
     report = run_scenario(topo, scenario, acl, store, seed=args.seed)
 
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(report.canonical_text())
+        try:
+            with open(args.out, "w") as f:
+                f.write(report.canonical_text())
+        except OSError as e:
+            raise ReportNotWritten(f"cannot write report file {args.out}: {e}") from e
 
     failures = evaluate_expect(report, scenario.expect)
     for line in failures:
@@ -89,7 +96,7 @@ def main(argv=None) -> int:
             return _cmd_validate(args)
         return _cmd_run(args)
     except (InvalidTopology, InvalidScenario, MalformedAcl, MalformedStore,
-            PersistenceFailure, NoSequence) as e:
+            PersistenceFailure, NoSequence, ReportNotWritten) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -146,10 +146,13 @@ def parse_store(obj, path: Optional[str] = None) -> SequenceStore:
 
 def load_store(path: str) -> SequenceStore:
     """Read a store file; a missing or empty file is an empty store."""
-    if not os.path.exists(path):
+    try:
+        with open(path) as f:
+            text = f.read()
+    except FileNotFoundError:
         return SequenceStore(path)
-    with open(path) as f:
-        text = f.read()
+    except (OSError, ValueError) as e:   # a directory, undecodable bytes, a NUL
+        raise MalformedStore(f"cannot read store file {path}: {e}") from e
     if not text.strip():
         return SequenceStore(path)
     try:
@@ -205,30 +208,16 @@ class Controller:
         self.switch_features = switch_features
         self.routes = routes
         self.handled: set[tuple[str, Ipv4Address]] = set()
-        self._route_installs: dict[str, list[tuple[str, Rule]]] = {}
-
-    def _route_rules(self, switch_id: str) -> list[tuple[str, Rule]]:
-        """The switch's ipv4_forward installs in address order, built on its
-        first punt. Rules are immutable, so later punts hand out the same
-        ones, and routes through one egress port share one Forward action."""
-        installs = self._route_installs.get(switch_id)
-        if installs is None:
-            routes = sorted(self.routes.get(switch_id, {}).items(),
-                            key=lambda kv: kv[0].octets)
-            forwards = {egress: tables.forward(egress) for egress in {e for _, e in routes}}
-            installs = [("ipv4_forward", Rule((dst_ip,), forwards[egress]))
-                        for dst_ip, egress in routes]
-            self._route_installs[switch_id] = installs
-        return installs
+        self.routed: set[str] = set()   # switches already handed their routes
 
     def handle_packet_in(self, switch_id: str, raw: bytes) -> list[tuple[str, Rule]]:
         """Resolve one punted packet into rule installs for that switch.
 
         Deny (or absent from the ACL) installs a single presence-table drop.
         Allow installs the presence entry, the stateless bindings and knock
-        rules the switch's features call for, and routes to every host. A
-        replayed punt for an already-resolved (switch, host) pair installs
-        nothing.
+        rules the switch's features call for, and, with the switch's first
+        allowed punt only, its routes to every host. A replayed punt for an
+        already-resolved (switch, host) pair installs nothing.
         """
         p = parse_packet(raw)
         src = p.ip.src_ip
@@ -264,7 +253,13 @@ class Controller:
                     ("knock_rules", Rule((src, port), tables.set_allowed(pos=pos))))
             installs.append(("knock_rules", Rule(
                 (src, seq.service_port), tables.set_allowed(pos=POS_SERVICE))))
-        installs.extend(self._route_rules(switch_id))
+        if switch_id not in self.routed:
+            routes = self.routes.get(switch_id, {})
+            # routes through one egress port share one Forward action
+            forwards = {egress: tables.forward(egress) for egress in set(routes.values())}
+            installs.extend(("ipv4_forward", Rule((dst_ip,), forwards[routes[dst_ip]]))
+                            for dst_ip in sorted(routes, key=lambda ip: ip.octets))
+            self.routed.add(switch_id)
 
         self.handled.add((switch_id, src))
         return installs

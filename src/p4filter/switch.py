@@ -206,15 +206,13 @@ class P4Switch:
         position): a rule replaces the source's rule at its position, and a
         port the source holds at another position moves. A source whose
         knock rules changed restarts at stage 0 once all four positions are
-        set, and has no stage until then. A rule object that is already
-        installed under its key is not inserted again: the controller hands
-        out the same route rules on every punt."""
+        set, and has no stage until then. Every other rule is a plain insert
+        that replaces whatever its key held."""
         changed: set[Ipv4Address] = set()
         for table_name, rule in installs:
             table = self.tables[table_name]
             if table is not self.knock_rules:
-                if table.rules.get(rule.key) is not rule:
-                    table.insert(rule)
+                table.insert(rule)
                 if table_name == "present_table":
                     self.pending_punts.discard(rule.key[0])
                 continue

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -14,6 +16,8 @@ from p4filter.verdict import CONSUMED, DROPPED, FORWARDED
 import knock_reference
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +67,13 @@ def reference_label(kind):
 def fixture_json(name):
     with open(os.path.join(FIXTURES, name)) as f:
         return json.load(f)
+
+
+def load_bench(name):
+    """Load bench/<name>.py in place, as the benchmark itself runs it."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

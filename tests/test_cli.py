@@ -146,6 +146,30 @@ class TestRun:
                        "--store", str(store))
         assert code == 2
 
+    def test_store_directory_exits_two(self, tmp_path, capsys):
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", scenario_path("knock_auth"),
+                       "--store", str(tmp_path))
+        assert code == 2
+        assert "cannot read store file" in capsys.readouterr().err
+
+    def test_undecodable_store_exits_two(self, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        store.write_bytes(b"\xff\xfe{}")
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", scenario_path("knock_auth"),
+                       "--store", str(store))
+        assert code == 2
+
+    @pytest.mark.parametrize("out", [".", "missing/report.json"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, out):
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", scenario_path("stateful_iperf"),
+                       "--out", str(tmp_path / out))
+        assert code == 2
+        assert "cannot write report file" in capsys.readouterr().err
+
 
 class TestScenarioInputErrors:
     """Scenario values the parser or the preinstall step must refuse by

@@ -253,15 +253,30 @@ class TestAllowPath:
         assert routes == {ip("10.0.1.2"): 1, ip("10.0.5.1"): 3}
         assert "check_ip" not in grouped and "check_mac" not in grouped
 
-    def test_later_punts_reuse_the_route_rules(self, tmp_path):
+    def test_later_punts_carry_no_route_rules(self, tmp_path):
         c = build_controller(tmp_path)
-        first = by_table(c.handle_packet_in("sw_knock", punt_bytes()))["ipv4_forward"]
+        first = by_table(c.handle_packet_in("sw_knock", punt_bytes()))
         second = by_table(c.handle_packet_in(
-            "sw_knock", punt_bytes(src_ip="10.0.1.9")))["ipv4_forward"]
-        assert first == second
-        assert all(a.action is b.action for a, b in zip(first, second))
-        first[0].action.param_dict["port"] = 99   # a copy, not shared state
-        assert second[0].action.param("port") == 1
+            "sw_knock", punt_bytes(src_ip="10.0.1.9")))
+        assert len(first["ipv4_forward"]) == 2
+        assert set(second) == {"present_table", "knock_rules"}
+        other = by_table(c.handle_packet_in("sw_plain", punt_bytes()))
+        assert {r.key[0]: r.action.param("port") for r in other["ipv4_forward"]} == {
+            ip("10.0.5.1"): 2}
+
+    def test_denied_punt_does_not_use_up_the_routes(self, tmp_path):
+        c = build_controller(tmp_path)
+        c.handle_packet_in("sw_knock", punt_bytes(src_ip=BAD_IP))
+        grouped = by_table(c.handle_packet_in("sw_knock", punt_bytes()))
+        assert [r.key[0] for r in grouped["ipv4_forward"]] == [
+            ip("10.0.1.2"), ip("10.0.5.1")]
+
+    def test_replayed_punt_carries_nothing(self, tmp_path):
+        c = build_controller(tmp_path)
+        c.handle_packet_in("sw_knock", punt_bytes(src_ip=BAD_IP))
+        assert c.handle_packet_in("sw_knock", punt_bytes(src_ip=BAD_IP)) == []
+        assert "ipv4_forward" in by_table(c.handle_packet_in("sw_knock", punt_bytes()))
+        assert c.handle_packet_in("sw_knock", punt_bytes()) == []
 
     def test_stateless_switch_install_set(self, tmp_path):
         c = build_controller(tmp_path)
@@ -321,28 +336,22 @@ class TestIdempotenceAndStability:
 
 
 class TestInstallsOnTheSwitch:
-    """The controller hands out the same route rule objects on every
-    punt; the switch inserts a rule only when its key holds another."""
+    """The controller hands a switch its routes once; every install the
+    switch applies is a plain insert."""
 
     @staticmethod
     def knock_switch():
         return P4Switch(SwitchConfig(switch_id="sw_knock", ports=(1, 2, 3),
                                      features=frozenset({FEAT_KNOCKING})))
 
-    def test_second_punt_inserts_only_the_non_route_rules(self, tmp_path, monkeypatch):
+    def test_second_punt_leaves_the_first_punts_routes(self, tmp_path):
         c, sw = build_controller(tmp_path), self.knock_switch()
-        sw.apply_rule_install(c.handle_packet_in("sw_knock", punt_bytes()))
-        routes = dict(sw.ipv4_forward.rules)
-        inserted = []
-        insert = tb.Table.insert
-        monkeypatch.setattr(tb.Table, "insert", lambda table, rule: (
-            inserted.append((table.name, rule)), insert(table, rule))[1])
-        installs = c.handle_packet_in("sw_knock", punt_bytes(src_ip="10.0.1.9"))
-        sw.apply_rule_install(installs)
-        assert "ipv4_forward" in by_table(installs)
-        assert sw.ipv4_forward.rules == routes
-        assert all(sw.ipv4_forward.rules[key] is rule for key, rule in routes.items())
-        assert inserted == [(t, r) for t, r in installs if t != "ipv4_forward"]
+        first = c.handle_packet_in("sw_knock", punt_bytes())
+        sw.apply_rule_install(first)
+        sw.apply_rule_install(c.handle_packet_in("sw_knock", punt_bytes(src_ip="10.0.1.9")))
+        routes = by_table(first)["ipv4_forward"]
+        assert sw.ipv4_forward.rules == {r.key: r for r in routes}
+        assert all(sw.ipv4_forward.rules[r.key] is r for r in routes)
 
     def test_equal_preinstalled_route_is_replaced_by_the_controllers_rule(
             self, tmp_path):
@@ -380,5 +389,7 @@ class TestPersistence:
         with pytest.raises(ctl.PersistenceFailure):
             c.handle_packet_in("sw_knock", punt_bytes())
         store.path = str(tmp_path / "store.json")
-        installs = c.handle_packet_in("sw_knock", punt_bytes())
-        assert any(t == "knock_rules" for t, _ in installs)
+        installs = by_table(c.handle_packet_in("sw_knock", punt_bytes()))
+        assert "knock_rules" in installs
+        assert [r.key[0] for r in installs["ipv4_forward"]] == [
+            ip("10.0.1.2"), ip("10.0.5.1")]

@@ -8,23 +8,17 @@ or silently stop timing a layer, and still pass here.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
-import sys
 
 import pytest
 
-from conftest import run_bundled
+from conftest import BENCH, load_bench, run_bundled
 from p4filter.bundled import SCENARIOS
 from p4filter.controller import SequenceStore, parse_acl
 from p4filter.scenario import parse_scenario
 from p4filter.sim import Simulator
 from p4filter.topology import parse_topology
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench")
-
 
 # The seed-1 report digests of the benchmark's workloads, at the sizes
 # bench/harness.py runs them.
@@ -36,15 +30,6 @@ WORKLOAD_DIGESTS = {
     ("authorized_service", 30):
         "5da5eb84298ab7317760efee1ab0b8211d47d0ad89115d69ac75965f8a59f4b4",
 }
-
-
-def load_bench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def load_tracing():

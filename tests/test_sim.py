@@ -1,14 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
 
-from conftest import load_bundled_scenario, run_bundled
+from conftest import load_bench, load_bundled_scenario, run_bundled
+from p4filter import tables
 from p4filter.bundled import SCENARIOS
 from p4filter.controller import SequenceStore, load_store, parse_acl
 from p4filter.scenario import (InvalidScenario, NoSequence, ScenarioEvent, ScenarioSpec,
                                SendAction, parse_scenario)
 from p4filter.sim import (CountersNotConserved, RunReport, Simulator, TimeReversal,
                          evaluate_expect, run_scenario)
+from p4filter.topology import compute_routes, parse_topology
 
 
 def simulate(default_topology, obj, acl_entries=(), store=None, seed=None):
@@ -261,3 +264,35 @@ class TestReportChecks:
         parsed = json.loads(text)
         assert list(parsed) == sorted(parsed)
         assert parsed["scenario"] == "spoof" and parsed["seed"] == 23
+
+
+class TestRouteHandOut:
+    def test_knock_admission_hands_each_switch_its_routes_once(self):
+        """At the benchmark's size: every switch with an allowed punt ends
+        with exactly its computed routes, and was handed each route once."""
+        wl = load_bench("workloads").GENERATORS["knock_admission"](1, 300)
+        spec = parse_scenario(json.loads(wl.scenario_text))
+        topo = parse_topology(json.loads(wl.topology_text))
+        sim = Simulator(topo, parse_acl(json.loads(wl.acl_text)), SequenceStore(),
+                        seed=spec.seed)
+        handed, allowed = Counter(), set()
+        handle = sim.controller.handle_packet_in
+
+        def counting(switch_id, raw):
+            installs = handle(switch_id, raw)
+            for table, rule in installs:
+                if table == "ipv4_forward":
+                    handed[switch_id, rule.key[0]] += 1
+                elif table == "present_table" and rule.action.kind == tables.SET_ALLOWED:
+                    allowed.add(switch_id)
+            return installs
+
+        sim.controller.handle_packet_in = counting
+        sim.run(spec)
+        routes = compute_routes(topo)
+        assert allowed
+        for sid in allowed:
+            installed = sim.network[sid].ipv4_forward.rules
+            assert {key[0]: rule.action.param("port")
+                    for key, rule in installed.items()} == routes[sid]
+        assert handed == Counter({(sid, dst): 1 for sid in allowed for dst in routes[sid]})
