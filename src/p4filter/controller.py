@@ -133,8 +133,9 @@ def parse_store(obj, path: Optional[str] = None) -> SequenceStore:
             raise MalformedStore(str(e)) from e
         if (not isinstance(entry, dict) or set(entry) != {"knocks", "service"}
                 or not isinstance(entry["knocks"], list)
-                or not all(isinstance(k, int) for k in entry["knocks"])
-                or not isinstance(entry["service"], int)):
+                # bool is an int subclass, and True is no port
+                or not all(type(k) is int for k in entry["knocks"])
+                or type(entry["service"]) is not int):
             raise MalformedStore(f"bad entry for {ip_text}: {entry!r}")
         try:
             seq = KnockSequence(tuple(entry["knocks"]), entry["service"])
@@ -207,7 +208,6 @@ class Controller:
         self.rng = rng
         self.switch_features = switch_features
         self.routes = routes
-        self.handled: set[tuple[str, Ipv4Address]] = set()
         self.routed: set[str] = set()   # switches already handed their routes
 
     def handle_packet_in(self, switch_id: str, raw: bytes) -> list[tuple[str, Rule]]:
@@ -216,17 +216,14 @@ class Controller:
         Deny (or absent from the ACL) installs a single presence-table drop.
         Allow installs the presence entry, the stateless bindings and knock
         rules the switch's features call for, and, with the switch's first
-        allowed punt only, its routes to every host. A replayed punt for an
-        already-resolved (switch, host) pair installs nothing.
+        allowed punt only, its routes to every host. A repeated punt for a
+        host gets the same per-host rules again.
         """
         p = parse_packet(raw)
         src = p.ip.src_ip
-        if (switch_id, src) in self.handled:
-            return []
         entry = self.acl.get(src)
 
         if entry is None or entry.verdict == DENY:
-            self.handled.add((switch_id, src))
             return [("present_table", Rule((src,), tables.drop()))]
 
         seq = self.store.get(src)
@@ -260,6 +257,4 @@ class Controller:
             installs.extend(("ipv4_forward", Rule((dst_ip,), forwards[routes[dst_ip]]))
                             for dst_ip in sorted(routes, key=lambda ip: ip.octets))
             self.routed.add(switch_id)
-
-        self.handled.add((switch_id, src))
         return installs

@@ -69,7 +69,7 @@ class MacAddr:
 
     @classmethod
     def from_text(cls, text: str) -> "MacAddr":
-        parts = text.split(":")
+        parts = text.split(":") if isinstance(text, str) else ()
         if len(parts) != 6:
             raise ValueError(f"bad MAC address {text!r}")
         return cls(bytes(int(p, 16) for p in parts))
@@ -88,7 +88,7 @@ class Ipv4Address:
 
     @classmethod
     def from_text(cls, text: str) -> "Ipv4Address":
-        parts = text.split(".")
+        parts = text.split(".") if isinstance(text, str) else ()
         if len(parts) != 4:
             raise ValueError(f"bad IPv4 address {text!r}")
         octets = bytes(int(p) for p in parts)

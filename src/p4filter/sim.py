@@ -90,14 +90,15 @@ class Simulator:
         self.topo = topo
         self.seed = seed
         self._trace: list[dict] = []
-        self.network = build_network(topo, self._trace)
+        routes = compute_routes(topo)
+        self.network = build_network(topo, self._trace, routes)
         self.store = store
         self.controller = Controller(
             acl=acl,
             store=store,
             rng=random.Random(seed),
             switch_features={s.switch_id: s.features for s in topo.switches},
-            routes=compute_routes(topo),
+            routes=routes,
         )
         self.hosts = topo.host_by_name()
         self.attach: dict[tuple[str, int], tuple] = {}
@@ -182,8 +183,11 @@ class Simulator:
             if pre.switch not in self.network:
                 raise InvalidScenario(f"preinstall references unknown switch {pre.switch!r}")
             switch = self.network[pre.switch]
+            table = switch.tables.get(pre.table)
+            bad_rule = f"bad preinstall rule {pre.table} {list(pre.key)} on {pre.switch}"
+            if table is None:
+                raise InvalidScenario(f"{bad_rule}: no table named {pre.table!r}")
             try:
-                table = switch.tables[pre.table]
                 if len(pre.key) != len(table.schema):
                     raise SchemaMismatch(
                         f"{pre.table}: key arity {len(pre.key)}"
@@ -201,9 +205,7 @@ class Simulator:
                         f" got {action.param('port')!r}")
                 switch.apply_rule_install([(pre.table, Rule(key, action))])
             except (TableError, ValueError) as e:
-                raise InvalidScenario(
-                    f"bad preinstall rule {pre.table} {list(pre.key)}"
-                    f" on {pre.switch}: {e}") from e
+                raise InvalidScenario(f"{bad_rule}: {e}") from e
 
     # -- main loop ---------------------------------------------------------
 
@@ -275,7 +277,9 @@ class Simulator:
             seed=self.seed,
             trace=list(self._trace),
             hosts={name: dict(c) for name, c in sorted(self._stats.items())},
-            rules={sid: self.network[sid].tables.dump() for sid in sorted(self.network)},
+            rules={sid: [row for _, table in sorted(self.network[sid].tables.items())
+                         for row in table.dump()]
+                   for sid in sorted(self.network)},
             sequences=self.store.to_json_dict(),
             knock_stages=knock_stages,
         )

@@ -17,10 +17,7 @@ from . import stateful, stateless, tables
 from .bloom import DEFAULT_M, BloomPair
 from .knocking import POS_SERVICE, knock_step
 from .packet import Ipv4Address, Packet, TtlExpired, decrement_ttl
-from .tables import (
-    Rule, TableSet,
-    KIND_IPV4, KIND_MAC, KIND_PORT, KIND_PORT_ID,
-)
+from .tables import Rule, Table, KIND_IPV4, KIND_MAC, KIND_PORT, KIND_PORT_ID
 from .verdict import DROPPED, FORWARDED, PUNTED, Verdict
 
 CPU_PORT = 55
@@ -85,28 +82,27 @@ class P4Switch:
         # stage register; each source's knock_rules ports, by position
         self.knock_stages: dict[Ipv4Address, int] = {}
         self._knock_ports: dict[Ipv4Address, dict[int, int]] = {}
-        self.pending_punts: set[Ipv4Address] = set()
 
         self._stateless = FEAT_STATELESS in config.features
         self._stateful = FEAT_STATEFUL in config.features
         self._knocking = FEAT_KNOCKING in config.features
 
-        # The pipeline holds its tables directly; the TableSet is the
-        # by-name view the control plane and the rule dump go through.
-        t = TableSet()
-        self.present_table = t.create(
+        # The pipeline holds its tables directly; `tables` is the by-name
+        # view the control plane and the rule dump go through.
+        self.present_table = Table(
             "present_table", (KIND_IPV4,),
             tables.send_to_controller() if self._knocking else tables.no_action())
-        self.check_ip = t.create("check_ip", (KIND_IPV4,), tables.send_to_controller())
-        self.check_mac = t.create("check_mac", (KIND_IPV4, KIND_MAC), tables.drop())
-        self.check_ports = t.create(
+        self.check_ip = Table("check_ip", (KIND_IPV4,), tables.send_to_controller())
+        self.check_mac = Table("check_mac", (KIND_IPV4, KIND_MAC), tables.drop())
+        self.check_ports = Table(
             "check_ports", (KIND_PORT_ID,), tables.set_direction(stateful.EXTERNAL))
-        self.knock_rules = t.create(
-            "knock_rules", (KIND_IPV4, KIND_PORT), tables.no_action())
-        self.ipv4_forward = t.create("ipv4_forward", (KIND_IPV4,), tables.drop())
+        self.knock_rules = Table("knock_rules", (KIND_IPV4, KIND_PORT), tables.no_action())
+        self.ipv4_forward = Table("ipv4_forward", (KIND_IPV4,), tables.drop())
         for port in config.internal_ports:
             self.check_ports.insert(Rule((port,), tables.set_direction(stateful.INTERNAL)))
-        self.tables = t
+        self.tables: dict[str, Table] = {t.name: t for t in (
+            self.present_table, self.check_ip, self.check_mac, self.check_ports,
+            self.knock_rules, self.ipv4_forward)}
 
     # -- event log ---------------------------------------------------------
 
@@ -126,17 +122,11 @@ class P4Switch:
     # -- pipeline ----------------------------------------------------------
 
     def _stop(self, stage: str, p: Packet, verdict: Verdict) -> Optional[PacketOut]:
-        """End the packet's trip at `stage`. A punt leaves through the CPU
-        port unless one from the same source is still unanswered, in which
-        case the packet is dropped as `punt pending`."""
-        if verdict.kind == PUNTED:
-            if p.ip.src_ip in self.pending_punts:
-                verdict = Verdict(DROPPED, "punt pending")
-            else:
-                self.pending_punts.add(p.ip.src_ip)
-                self._log(PUNTED, stage, p, verdict.reason)
-                return PacketOut(self.config.cpu_port, p)
+        """End the packet's trip at `stage`; a punt leaves through the CPU
+        port."""
         self._log(verdict.kind, stage, p, verdict.reason)
+        if verdict.kind == PUNTED:
+            return PacketOut(self.config.cpu_port, p)
         return None
 
     def _egress_is_internal(self, dst_ip: Ipv4Address) -> bool:
@@ -213,8 +203,6 @@ class P4Switch:
             table = self.tables[table_name]
             if table is not self.knock_rules:
                 table.insert(rule)
-                if table_name == "present_table":
-                    self.pending_punts.discard(rule.key[0])
                 continue
             pos = rule.action.param("pos")
             if type(pos) is not int or not 0 <= pos <= POS_SERVICE:

@@ -1,15 +1,14 @@
 """Exact-match match-action tables.
 
-Each table has a fixed key schema (an ordered tuple of field kinds), a map
-of installed rules, and a default action returned on miss. A TableSet groups
-the named tables owned by one switch. Keys match exactly — no prefixes, no
-wildcards — which keeps every lookup result reproducible.
+Each table has a name, a fixed key schema (an ordered tuple of field kinds),
+a map of installed rules, and a default action returned on miss. A switch
+keeps its tables in a plain name-to-table dict. Keys match exactly — no
+prefixes, no wildcards — which keeps every lookup result reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .packet import Ipv4Address, MacAddr
 
@@ -39,10 +38,6 @@ ACTION_KINDS = {FORWARD, DROP, SEND_TO_CONTROLLER, SET_ALLOWED, SET_DIRECTION, N
 
 class TableError(Exception):
     pass
-
-
-class DuplicateName(TableError):
-    """A table with this name already exists on the switch."""
 
 
 class SchemaMismatch(TableError):
@@ -166,32 +161,3 @@ class Table:
 
 def _render_key(key: tuple) -> list[str]:
     return [str(f) for f in key]
-
-
-class TableSet:
-    """The named tables of one switch; names are unique within the set."""
-
-    def __init__(self):
-        self._tables: dict[str, Table] = {}
-
-    def create(self, name: str, schema: Iterable[str], default_action: Action) -> Table:
-        if name in self._tables:
-            raise DuplicateName(name)
-        schema = tuple(schema)
-        for kind in schema:
-            if kind not in _KIND_TYPES:
-                raise ValueError(f"unknown key field kind {kind!r}")
-        table = Table(name=name, schema=schema, default_action=default_action)
-        self._tables[name] = table
-        return table
-
-    def __getitem__(self, name: str) -> Table:
-        if name not in self._tables:
-            raise NotFound(f"no table named {name!r}")
-        return self._tables[name]
-
-    def dump(self) -> list[dict]:
-        out = []
-        for name in sorted(self._tables):
-            out.extend(self._tables[name].dump())
-        return out

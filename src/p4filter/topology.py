@@ -3,9 +3,11 @@
 A topology is switches (with their filter features and internal ports),
 hosts attached to switch ports, and switch-to-switch links. Routes are
 shortest paths by hop count with ties broken by sorted switch id, so a
-given topology always yields one routing. Switches without the knocking
-feature get their routes installed at build time; knocking switches are
-routed by the controller when it authorizes a host.
+given topology always yields one routing; the same breadth-first search
+checks that the switch graph is connected. Routes are computed once per
+network and given both to `build_network`, which installs them on switches
+without the knocking feature, and to the controller, which hands them to a
+knocking switch with its first allowed punt.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ class TopologySpec:
         return {h.name: h for h in self.hosts}
 
 
+def _check_name(name, what: str) -> None:
+    # ids and names are dict keys and report text, so a list or a number
+    # must not get that far
+    if not isinstance(name, str):
+        raise InvalidTopology(f"{what}: {name!r} is not a string")
+
+
 def _check_port(port, what: str) -> None:
     # bool is an int subclass, and True would pass for port 1
     if not isinstance(port, int) or isinstance(port, bool):
@@ -76,6 +85,7 @@ def parse_topology(obj) -> TopologySpec:
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidTopology(f"bad switch entry {item!r}: {e}") from e
         config = switches[-1]
+        _check_name(config.switch_id, "switch id")
         for port in (*config.ports, *config.internal_ports, config.cpu_port):
             _check_port(port, f"switch {config.switch_id}")
     ids = [s.switch_id for s in switches]
@@ -95,6 +105,7 @@ def parse_topology(obj) -> TopologySpec:
             ))
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidTopology(f"bad host entry {item!r}: {e}") from e
+        _check_name(hosts[-1].name, "host name")
     names = [h.name for h in hosts]
     if len(set(names)) != len(names):
         raise InvalidTopology("duplicate host names")
@@ -114,6 +125,7 @@ def parse_topology(obj) -> TopologySpec:
     used: set[tuple[str, int]] = set()
 
     def claim(switch_id: str, port, what: str) -> None:
+        _check_name(switch_id, f"{what} switch")
         _check_port(port, what)
         if switch_id not in by_id:
             raise InvalidTopology(f"{what} references unknown switch {switch_id!r}")
@@ -135,15 +147,7 @@ def parse_topology(obj) -> TopologySpec:
 
     # connectivity over the switch graph
     if switches:
-        adjacency = _adjacency(spec)
-        seen = {switches[0].switch_id}
-        frontier = deque(seen)
-        while frontier:
-            current = frontier.popleft()
-            for peer, _ in adjacency[current]:
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
+        seen = set(_bfs_parents(_adjacency(spec), switches[0].switch_id))
         if seen != set(ids):
             raise InvalidTopology(f"switch graph is not connected: unreachable {sorted(set(ids) - seen)}")
     return spec
@@ -171,12 +175,25 @@ def _adjacency(spec: TopologySpec) -> dict[str, list[tuple[str, int]]]:
     return adjacency
 
 
-def compute_routes(spec: TopologySpec) -> dict[str, dict[Ipv4Address, int]]:
-    """For each switch, the egress port toward every host IP.
+def _bfs_parents(adjacency: dict[str, list[tuple[str, int]]],
+                 source: str) -> dict[str, str]:
+    """Each switch reachable from `source` -> the switch it was first
+    reached from (`source` maps to itself), expanding neighbours in sorted
+    order so equal-length paths resolve the same way on every run."""
+    parent = {source: source}
+    order = deque([source])
+    while order:
+        current = order.popleft()
+        for peer, _ in adjacency[current]:
+            if peer not in parent:
+                parent[peer] = current
+                order.append(peer)
+    return parent
 
-    Next hops come from a breadth-first search expanded in sorted-neighbor
-    order, so equal-length paths resolve the same way on every run.
-    """
+
+def compute_routes(spec: TopologySpec) -> dict[str, dict[Ipv4Address, int]]:
+    """For each switch, the egress port toward every host IP, the next hop
+    taken from `_bfs_parents`."""
     adjacency = _adjacency(spec)
     port_to = {
         (a, b): port
@@ -186,14 +203,7 @@ def compute_routes(spec: TopologySpec) -> dict[str, dict[Ipv4Address, int]]:
     routes: dict[str, dict[Ipv4Address, int]] = {}
     for source in spec.switches:
         sid = source.switch_id
-        parent: dict[str, str] = {sid: sid}
-        order = deque([sid])
-        while order:
-            current = order.popleft()
-            for peer, _ in adjacency[current]:
-                if peer not in parent:
-                    parent[peer] = current
-                    order.append(peer)
+        parent = _bfs_parents(adjacency, sid)
         table: dict[Ipv4Address, int] = {}
         for host in spec.hosts:
             if host.switch == sid:
@@ -208,10 +218,10 @@ def compute_routes(spec: TopologySpec) -> dict[str, dict[Ipv4Address, int]]:
     return routes
 
 
-def build_network(spec: TopologySpec, trace: list) -> dict[str, P4Switch]:
+def build_network(spec: TopologySpec, trace: list,
+                  routes: dict[str, dict[Ipv4Address, int]]) -> dict[str, P4Switch]:
     """Instantiate every switch, all logging into `trace`; non-knocking
-    switches get static routes."""
-    routes = compute_routes(spec)
+    switches get their `routes` (from `compute_routes`) as static rules."""
     network: dict[str, P4Switch] = {}
     for config in spec.switches:
         sw = P4Switch(config, trace)

@@ -44,6 +44,28 @@ class TestValidate:
                                     "links": "oops"}))
         assert run_cli("validate", "--topology", str(path)) == 2
 
+    @pytest.mark.parametrize("switch_id, host, link", [
+        (["a"], {}, {}),
+        ("s1", {"name": ["h1"]}, {}),
+        ("s1", {"switch": ["s1"]}, {}),
+        ("s1", {"ip": 167772161}, {}),
+        ("s1", {"mac": 5}, {}),
+        ("s1", {}, {2: ["s2"]}),
+    ], ids=["list-switch-id", "list-host-name", "list-host-switch",
+            "numeric-host-ip", "numeric-host-mac", "list-link-switch"])
+    def test_non_string_field_exits_two(self, tmp_path, capsys, switch_id, host, link):
+        link_entry = ["s1", 2, "s2", 1]
+        for index, value in link.items():
+            link_entry[index] = value
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps({
+            "switches": [{"id": switch_id, "ports": [1, 2]}, {"id": "s2", "ports": [1]}],
+            "hosts": [{"name": "h1", "ip": "10.0.0.1", "mac": "02:00:00:00:00:01",
+                       "switch": "s1", "port": 1, **host}],
+            "links": [link_entry]}))
+        assert run_cli("validate", "--topology", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRun:
     def test_bundled_scenario_passes(self, capsys):
@@ -136,6 +158,26 @@ class TestRun:
                        "--acl", str(acl))
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [{"ip": 167772418}, {"mac": 5}],
+                             ids=["numeric-ip", "numeric-mac"])
+    def test_non_string_acl_address_exits_two(self, tmp_path, capsys, entry):
+        acl = tmp_path / "acl.json"
+        acl.write_text(json.dumps([{"ip": "10.0.1.2", "verdict": "allow", **entry}]))
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", scenario_path("knock_auth"), "--acl", str(acl))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bool_store_port_exits_two(self, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({"10.0.1.2": {"knocks": [2000, 3000, 4000],
+                                                  "service": True}}))
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", scenario_path("knock_auth"),
+                       "--store", str(store))
+        assert code == 2
+        assert "error: bad entry for 10.0.1.2" in capsys.readouterr().err
 
     def test_malformed_store_exits_two(self, tmp_path, capsys):
         store = tmp_path / "store.json"

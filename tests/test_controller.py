@@ -52,6 +52,11 @@ def build_controller(tmp_path, acl=None, seed=42, store=None):
                           switch_features=features, routes=routes)
 
 
+def knock_switch():
+    return P4Switch(SwitchConfig(switch_id="sw_knock", ports=(1, 2, 3),
+                                 features=frozenset({FEAT_KNOCKING})))
+
+
 def by_table(installs):
     out = {}
     for table, rule in installs:
@@ -79,8 +84,12 @@ class TestAclParsing:
         [{"ip": H_IP, "mac": "zz:00:00:00:00:00", "verdict": "allow"}],
         [{"ip": H_IP, "verdict": "maybe"}],
         [{"ip": H_IP, "verdict": "allow"}, {"ip": H_IP, "verdict": "deny"}],
+        [{"ip": 167772418, "verdict": "allow"}],
+        [{"ip": H_IP, "mac": 5, "verdict": "allow"}],
+        [{"ip": [H_IP], "verdict": "allow"}],
     ], ids=["not-list", "no-ip", "no-verdict", "unknown-field", "bad-ip",
-            "bad-mac", "bad-verdict", "duplicate-ip"])
+            "bad-mac", "bad-verdict", "duplicate-ip", "numeric-ip",
+            "numeric-mac", "list-ip"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ctl.MalformedAcl):
             ctl.parse_acl(bad)
@@ -162,9 +171,10 @@ class TestSequenceStore:
         {H_IP: {"knocks": [80, 3333, 4444], "service": 22}},
         {H_IP: {"knocks": [2222, 2222, 4444], "service": 22}},
         {H_IP: {"knocks": [2222, 3333, 4444], "service": 2222}},
+        {H_IP: {"knocks": [2222, 3333, 4444], "service": True}},
     ], ids=["not-dict", "bad-ip", "missing-service", "extra-field",
             "non-int-knock", "two-knocks", "reserved-port-knock",
-            "duplicate-knock", "service-is-knock"])
+            "duplicate-knock", "service-is-knock", "bool-service"])
     def test_rejects_malformed(self, obj):
         with pytest.raises(ctl.MalformedStore):
             ctl.parse_store(obj)
@@ -272,11 +282,16 @@ class TestAllowPath:
             ip("10.0.1.2"), ip("10.0.5.1")]
 
     def test_replayed_punt_carries_nothing(self, tmp_path):
+        """A replayed punt carries nothing the first one did not: a deny
+        repeats its drop, an allow its per-host rules, without routes."""
         c = build_controller(tmp_path)
-        c.handle_packet_in("sw_knock", punt_bytes(src_ip=BAD_IP))
-        assert c.handle_packet_in("sw_knock", punt_bytes(src_ip=BAD_IP)) == []
-        assert "ipv4_forward" in by_table(c.handle_packet_in("sw_knock", punt_bytes()))
-        assert c.handle_packet_in("sw_knock", punt_bytes()) == []
+        deny = c.handle_packet_in("sw_knock", punt_bytes(src_ip=BAD_IP))
+        assert c.handle_packet_in("sw_knock", punt_bytes(src_ip=BAD_IP)) == deny
+        first = c.handle_packet_in("sw_both", punt_bytes())
+        assert set(by_table(first)) == {"present_table", "check_ip", "check_mac",
+                                        "knock_rules", "ipv4_forward"}
+        assert c.handle_packet_in("sw_both", punt_bytes()) == [
+            (table, rule) for table, rule in first if table != "ipv4_forward"]
 
     def test_stateless_switch_install_set(self, tmp_path):
         c = build_controller(tmp_path)
@@ -311,10 +326,19 @@ class TestAllowPath:
 
 class TestIdempotenceAndStability:
     def test_second_punt_installs_nothing(self, tmp_path):
-        c = build_controller(tmp_path)
-        assert c.handle_packet_in("sw_knock", punt_bytes()) != []
-        assert c.handle_packet_in("sw_knock", punt_bytes()) == []
-        assert c.handle_packet_in("sw_knock", punt_bytes(dport=443)) == []
+        """A repeated punt's answer, applied mid-knock, changes no table
+        and keeps the source's knock stage."""
+        c, sw = build_controller(tmp_path), knock_switch()
+        sw.apply_rule_install(c.handle_packet_in("sw_knock", punt_bytes()))
+        assert sw.process_packet(1, make_packet(
+            src_mac=H_MAC, dst_mac="02:00:00:00:05:01", src_ip=H_IP,
+            dst_ip="10.0.5.1", sport=40001, dport=42929)) is None   # first knock
+        assert sw.knock_stages == {ip(H_IP): 1}
+        installed = {name: dict(table.rules) for name, table in sw.tables.items()}
+        for dport in (80, 443):
+            sw.apply_rule_install(c.handle_packet_in("sw_knock", punt_bytes(dport=dport)))
+        assert {name: dict(table.rules) for name, table in sw.tables.items()} == installed
+        assert sw.knock_stages == {ip(H_IP): 1}
 
     def test_same_host_same_sequence_on_every_switch(self, tmp_path):
         c = build_controller(tmp_path)
@@ -339,13 +363,8 @@ class TestInstallsOnTheSwitch:
     """The controller hands a switch its routes once; every install the
     switch applies is a plain insert."""
 
-    @staticmethod
-    def knock_switch():
-        return P4Switch(SwitchConfig(switch_id="sw_knock", ports=(1, 2, 3),
-                                     features=frozenset({FEAT_KNOCKING})))
-
     def test_second_punt_leaves_the_first_punts_routes(self, tmp_path):
-        c, sw = build_controller(tmp_path), self.knock_switch()
+        c, sw = build_controller(tmp_path), knock_switch()
         first = c.handle_packet_in("sw_knock", punt_bytes())
         sw.apply_rule_install(first)
         sw.apply_rule_install(c.handle_packet_in("sw_knock", punt_bytes(src_ip="10.0.1.9")))
@@ -355,7 +374,7 @@ class TestInstallsOnTheSwitch:
 
     def test_equal_preinstalled_route_is_replaced_by_the_controllers_rule(
             self, tmp_path):
-        c, sw = build_controller(tmp_path), self.knock_switch()
+        c, sw = build_controller(tmp_path), knock_switch()
         preinstalled = tb.Rule((ip("10.0.1.2"),), tb.forward(1))
         sw.apply_rule_install([("ipv4_forward", preinstalled)])
         installs = c.handle_packet_in("sw_knock", punt_bytes())
@@ -381,7 +400,6 @@ class TestPersistence:
         with pytest.raises(ctl.PersistenceFailure):
             c.handle_packet_in("sw_knock", punt_bytes())
         assert store.get(ip(H_IP)) is None          # memory matches disk
-        assert ("sw_knock", ip(H_IP)) not in c.handled   # punt retryable
 
     def test_retry_succeeds_after_path_fixed(self, tmp_path):
         store = ctl.SequenceStore(str(tmp_path / "no" / "dir" / "s.json"))

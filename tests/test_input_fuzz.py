@@ -1,6 +1,7 @@
-"""Every input parser, fed any JSON value, returns a spec or raises its own
-named exception: never a TypeError, AttributeError or other traceback. The
-`run` command, fed any JSON scenario, exits 0, 1 or 2."""
+"""Every input parser, fed any JSON value or a valid input with one leaf
+replaced by any JSON value, returns a spec or raises its own named
+exception: never a TypeError, AttributeError or other traceback. The `run`
+command, fed any JSON scenario, exits 0, 1 or 2."""
 
 import json
 
@@ -50,6 +51,57 @@ json_values = st.recursive(
 def test_parser_returns_a_spec_or_raises_its_named_error(parse, error, value):
     try:
         parse(value)
+    except error:
+        pass
+
+
+def leaf_paths(value, path=()):
+    """The path (keys and indexes) to every scalar or empty container."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from leaf_paths(item, (*path, key))
+    elif isinstance(value, list) and value:
+        for index, item in enumerate(value):
+            yield from leaf_paths(item, (*path, index))
+    else:
+        yield path
+
+
+def with_leaf(value, path, new):
+    """A copy of `value` with the leaf at `path` replaced by `new`."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, head: with_leaf(value[head], rest, new)}
+    return [with_leaf(item, rest, new) if index == head else item
+            for index, item in enumerate(value)]
+
+
+def _json_file(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+VALID_INPUTS = [
+    (parse_topology, InvalidTopology, _json_file(default_topology_path())),
+    (parse_acl, MalformedAcl, _json_file(data_file("acl_knock.json"))),
+    (parse_store, MalformedStore, {"10.0.1.2": {"knocks": [2000, 3000, 4000],
+                                                "service": 22}}),
+]
+
+
+@pytest.mark.parametrize("parse, error, document", VALID_INPUTS,
+                         ids=["topology", "acl", "store"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_replaced_leaf_gives_a_spec_or_the_named_error(parse, error, document,
+                                                           data):
+    parse(document)   # the unchanged input is valid
+    path = data.draw(st.sampled_from(list(leaf_paths(document))), label="path")
+    changed = with_leaf(document, path, data.draw(json_values, label="leaf"))
+    try:
+        parse(changed)
     except error:
         pass
 

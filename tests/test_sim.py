@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from conftest import load_bench, load_bundled_scenario, run_bundled
-from p4filter import tables
+from p4filter import sim as sim_module
+from p4filter import tables, topology
 from p4filter.bundled import SCENARIOS
 from p4filter.controller import SequenceStore, load_store, parse_acl
 from p4filter.scenario import (InvalidScenario, NoSequence, ScenarioEvent, ScenarioSpec,
@@ -187,6 +188,14 @@ class TestScenarioErrors:
                                 "key": ["10.0.1.1"],
                                 "action": "SetAllowed"}]})
 
+    def test_preinstall_unknown_table(self, default_topology):
+        with pytest.raises(InvalidScenario, match="on s1: no table named 'nat'"):
+            simulate(default_topology, {
+                "name": "x", "seed": 1, "events": [],
+                "preinstall": [{"switch": "s1", "table": "nat",
+                                "key": ["10.0.1.1"],
+                                "action": "SetAllowed"}]})
+
 
 class TestTimeOrder:
     """The parser refuses a negative gap; a spec built without it must
@@ -267,6 +276,22 @@ class TestReportChecks:
 
 
 class TestRouteHandOut:
+    def test_routes_are_computed_once_per_simulator(self, default_topology,
+                                                    monkeypatch):
+        """One route computation feeds both the static routes and the
+        controller's hand-out."""
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+        original = topology.compute_routes
+        monkeypatch.setattr(topology, "compute_routes", counting)
+        monkeypatch.setattr(sim_module, "compute_routes", counting)
+        sim = Simulator(default_topology, {}, SequenceStore(), seed=0)
+        assert calls == [default_topology]
+        assert sim.controller.routes == original(default_topology)
+
     def test_knock_admission_hands_each_switch_its_routes_once(self):
         """At the benchmark's size: every switch with an allowed punt ends
         with exactly its computed routes, and was handed each route once."""

@@ -15,8 +15,7 @@ OUTSIDE_IP = "10.0.5.3"
 
 
 def ports_table(internal=(1, 2)):
-    ts = tb.TableSet()
-    t = ts.create("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
+    t = tb.Table("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
     for port in internal:
         t.insert(tb.Rule((port,), tb.set_direction(0)))
     return t

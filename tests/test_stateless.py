@@ -14,9 +14,8 @@ OTHER_MAC = "02:00:00:00:0f:0f"
 
 @pytest.fixture
 def firewall_tables():
-    ts = tb.TableSet()
-    check_ip = ts.create("check_ip", (tb.KIND_IPV4,), tb.send_to_controller())
-    check_mac = ts.create("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
+    check_ip = tb.Table("check_ip", (tb.KIND_IPV4,), tb.send_to_controller())
+    check_mac = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
     return check_ip, check_mac
 
 
@@ -84,11 +83,10 @@ class TestProperties:
                                              install_ip_only):
         """Allow requires the IP rule AND the matching MAC binding; any
         partial install yields Drop or ToController, never Allow."""
-        ts = tb.TableSet()
-        check_ip = ts.create("check_ip", (tb.KIND_IPV4,),
-                             tb.send_to_controller())
-        check_mac = ts.create("check_mac", (tb.KIND_IPV4, tb.KIND_MAC),
-                              tb.drop())
+        check_ip = tb.Table("check_ip", (tb.KIND_IPV4,),
+                            tb.send_to_controller())
+        check_mac = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC),
+                             tb.drop())
         ip = f"10.0.9.{ip_byte}"
         mac = f"02:00:00:00:09:{mac_byte:02x}"
         if install_ip_only:
@@ -102,11 +100,10 @@ class TestProperties:
     def test_deny_beats_allow_history(self, ip_byte):
         """Re-pointing an IP rule at Drop wins regardless of an intact MAC
         binding (deny is monotone over later lookups)."""
-        ts = tb.TableSet()
-        check_ip = ts.create("check_ip", (tb.KIND_IPV4,),
-                             tb.send_to_controller())
-        check_mac = ts.create("check_mac", (tb.KIND_IPV4, tb.KIND_MAC),
-                              tb.drop())
+        check_ip = tb.Table("check_ip", (tb.KIND_IPV4,),
+                            tb.send_to_controller())
+        check_mac = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC),
+                             tb.drop())
         ip = f"10.0.9.{ip_byte}"
         allow_host(check_ip, check_mac, ip, H2_MAC)
         check_ip.insert(tb.Rule((Ipv4Address.from_text(ip),), tb.drop()))

@@ -106,27 +106,11 @@ class TestPuntOnce:
             "sport": 40000, "dport": 80, "reason": "present_table punt",
         }
 
-    def test_second_packet_dropped_while_pending(self):
-        sw = switch(features=[FEAT_KNOCKING])
-        sw.process_packet(1, pkt())
-        out = sw.process_packet(1, pkt(sport=40001))
-        assert out is None
-        assert sw.event_log[-1]["verdict"] == "Dropped"
-        assert sw.event_log[-1]["reason"] == "punt pending"
-
     def test_pending_is_per_source(self):
         sw = switch(features=[FEAT_KNOCKING])
         sw.process_packet(1, pkt(src_ip=A_IP))
         out = sw.process_packet(2, pkt(src_ip=B_IP, src_mac=B_MAC))
         assert out is not None and out.egress_port == CPU_PORT
-
-    def test_present_install_clears_pending(self):
-        sw = switch(features=[FEAT_KNOCKING])
-        sw.process_packet(1, pkt())
-        sw.apply_rule_install([("present_table",
-                                tb.Rule((ip(A_IP),), tb.set_allowed()))])
-        sw.process_packet(1, pkt())
-        assert sw.event_log[-1]["reason"] != "punt pending"
 
     def test_deny_rule_drops_without_punt(self):
         sw = switch(features=[FEAT_KNOCKING])

@@ -11,26 +11,19 @@ MAC1 = MacAddr.from_text("02:00:00:00:00:01")
 
 
 def present_table():
-    ts = tb.TableSet()
-    return ts, ts.create("present_table", (tb.KIND_IPV4,), tb.send_to_controller())
+    return tb.Table("present_table", (tb.KIND_IPV4,), tb.send_to_controller())
 
 
 class TestCreate:
     def test_empty_with_default(self):
-        _, t = present_table()
+        t = present_table()
         action, hit = t.lookup((IP1,))
         assert not hit and action.kind == tb.SEND_TO_CONTROLLER
 
     def test_forward_table_default_drop(self):
-        ts = tb.TableSet()
-        t = ts.create("ipv4_forward", (tb.KIND_IPV4,), tb.drop())
+        t = tb.Table("ipv4_forward", (tb.KIND_IPV4,), tb.drop())
         action, hit = t.lookup((IP1,))
         assert not hit and action.kind == tb.DROP
-
-    def test_duplicate_name(self):
-        ts, _ = present_table()
-        with pytest.raises(tb.DuplicateName):
-            ts.create("present_table", (tb.KIND_IPV4,), tb.drop())
 
     def test_param_reads_one_value(self):
         assert tb.forward(7).param("port") == 7
@@ -38,47 +31,44 @@ class TestCreate:
         assert tb.set_allowed().param("pos") is None
 
     def test_unknown_kind(self):
-        ts = tb.TableSet()
-        with pytest.raises(ValueError):
-            ts.create("t", ("nonsense",), tb.drop())
+        with pytest.raises(KeyError):
+            tb.Table("t", ("nonsense",), tb.drop())
 
 
 class TestInsertLookup:
     def test_read_your_write(self):
-        _, t = present_table()
+        t = present_table()
         t.insert(tb.Rule((IP1,), tb.set_allowed()))
         action, hit = t.lookup((IP1,))
         assert hit and action.kind == tb.SET_ALLOWED
 
     def test_wrong_arity(self):
-        _, t = present_table()
+        t = present_table()
         with pytest.raises(tb.SchemaMismatch):
             t.insert(tb.Rule((IP1, MAC1), tb.drop()))
 
     def test_wrong_field_type(self):
-        _, t = present_table()
+        t = present_table()
         with pytest.raises(tb.SchemaMismatch):
             t.insert(tb.Rule((MAC1,), tb.drop()))
         with pytest.raises(tb.SchemaMismatch):
             t.lookup(("10.0.2.2",))
 
     def test_bool_is_not_a_port(self):
-        ts = tb.TableSet()
-        t = ts.create("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
+        t = tb.Table("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
         with pytest.raises(tb.SchemaMismatch):
             t.insert(tb.Rule((True,), tb.set_direction(0)))
 
     def test_bool_lookup_does_not_hit_int_rule(self):
         """True == 1 and hashes alike, so only the key check keeps a bool
         from matching the rule installed for port 1."""
-        ts = tb.TableSet()
-        t = ts.create("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
+        t = tb.Table("check_ports", (tb.KIND_PORT_ID,), tb.set_direction(1))
         t.insert(tb.Rule((1,), tb.set_direction(0)))
         with pytest.raises(tb.SchemaMismatch):
             t.lookup((True,))
 
     def test_replacement_semantics(self):
-        _, t = present_table()
+        t = present_table()
         t.insert(tb.Rule((IP1,), tb.set_allowed()))
         t.insert(tb.Rule((IP1,), tb.drop()))
         action, hit = t.lookup((IP1,))
@@ -88,19 +78,19 @@ class TestInsertLookup:
 
 class TestDelete:
     def test_delete_restores_default(self):
-        _, t = present_table()
+        t = present_table()
         t.insert(tb.Rule((IP1,), tb.drop()))
         t.delete((IP1,))
         action, hit = t.lookup((IP1,))
         assert not hit and action.kind == tb.SEND_TO_CONTROLLER
 
     def test_delete_absent(self):
-        _, t = present_table()
+        t = present_table()
         with pytest.raises(tb.NotFound):
             t.delete((IP1,))
 
     def test_insert_delete_insert(self):
-        _, t = present_table()
+        t = present_table()
         t.insert(tb.Rule((IP1,), tb.drop()))
         t.delete((IP1,))
         t.insert(tb.Rule((IP1,), tb.set_allowed()))
@@ -110,8 +100,7 @@ class TestDelete:
 
 class TestPairKeys:
     def test_ip_mac_binding(self):
-        ts = tb.TableSet()
-        t = ts.create("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
+        t = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
         t.insert(tb.Rule((IP1, MAC1), tb.set_allowed()))
         assert t.lookup((IP1, MAC1))[1]
         assert not t.lookup((IP2, MAC1))[1]
@@ -119,12 +108,11 @@ class TestPairKeys:
 
 class TestDump:
     def test_jsonl_shape(self):
-        ts = tb.TableSet()
-        t = ts.create("ipv4_forward", (tb.KIND_IPV4,), tb.drop())
+        t = tb.Table("ipv4_forward", (tb.KIND_IPV4,), tb.drop())
         t.insert(tb.Rule((IP1,), tb.forward(3)))
-        ts.create("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop()).insert(
-            tb.Rule((IP2, MAC1), tb.set_allowed()))
-        rows = ts.dump()
+        check_mac = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
+        check_mac.insert(tb.Rule((IP2, MAC1), tb.set_allowed()))
+        rows = check_mac.dump() + t.dump()   # a switch's dump: tables by name
         assert rows == sorted(rows, key=lambda r: (r["table"], r["key"]))
         assert {"table": "ipv4_forward", "key": ["10.0.2.2"],
                 "action": "Forward", "params": {"port": 3}} in rows
@@ -132,13 +120,12 @@ class TestDump:
                 "action": "SetAllowed", "params": {}} in rows
 
     def test_mutating_a_dump_leaves_later_dumps_alone(self):
-        ts = tb.TableSet()
-        ts.create("ipv4_forward", (tb.KIND_IPV4,), tb.drop()).insert(
-            tb.Rule((IP1,), tb.forward(3)))
-        first = ts.dump()
+        t = tb.Table("ipv4_forward", (tb.KIND_IPV4,), tb.drop())
+        t.insert(tb.Rule((IP1,), tb.forward(3)))
+        first = t.dump()
         first[0]["params"]["port"] = 99
         first[0]["key"].append("x")
-        assert ts.dump() == [{"table": "ipv4_forward", "key": ["10.0.2.2"],
+        assert t.dump() == [{"table": "ipv4_forward", "key": ["10.0.2.2"],
                               "action": "Forward", "params": {"port": 3}}]
 
 
@@ -173,7 +160,7 @@ class TestProperties:
     def test_matches_dict_model(self, ops):
         """After any insert/delete sequence the table behaves like a plain
         dict: same live keys, same visible actions, default on miss."""
-        _, t = present_table()
+        t = present_table()
         model = {}
         for op, ip, kind in ops:
             if op == "insert":
@@ -200,7 +187,7 @@ class TestProperties:
     def test_lookup_is_deterministic(self, ops):
         results = []
         for _ in range(2):
-            _, t = present_table()
+            t = present_table()
             for op, ip, kind in ops:
                 if op == "insert":
                     t.insert(tb.Rule((ip,), tb.Action.make(kind)))
@@ -217,7 +204,7 @@ class TestProperties:
     @settings(max_examples=100)
     def test_no_fabricated_forward(self, ops):
         """Lookups never invent a Forward that was not installed/configured."""
-        _, t = present_table()
+        t = present_table()
         for op, ip, kind in ops:
             if op == "insert":
                 t.insert(tb.Rule((ip,), tb.Action.make(kind)))

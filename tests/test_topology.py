@@ -61,14 +61,14 @@ class TestDefaultTopology:
         freshly built network has no routes there, but full static routes
         everywhere else."""
         spec = load_topology(default_topology_path())
-        network = build_network(spec, [])
+        network = build_network(spec, [], compute_routes(spec))
         assert len(network["s6"].tables["ipv4_forward"].rules) == 0
         for sid in ("s1", "s2", "s3", "s4", "s5"):
             assert len(network[sid].tables["ipv4_forward"].rules) == 7
 
     def test_internal_ports_prepopulated(self):
         spec = load_topology(default_topology_path())
-        network = build_network(spec, [])
+        network = build_network(spec, [], compute_routes(spec))
         table = network["s1"].tables["check_ports"]
         for port, expect_hit in ((1, True), (2, True), (3, False)):
             action, hit = table.lookup((port,))
@@ -233,7 +233,8 @@ class TestRoutes:
 class TestMinimalNetworkEndToEnd:
     def test_one_switch_carries_traffic(self):
         from p4filter.packet import make_packet
-        network = build_network(parse_topology(minimal()), [])
+        spec = parse_topology(minimal())
+        network = build_network(spec, [], compute_routes(spec))
         sw = network["s1"]
         p = make_packet(src_mac="02:00:00:00:00:01",
                         dst_mac="02:00:00:00:00:02",
