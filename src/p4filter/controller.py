@@ -157,10 +157,21 @@ def load_store(path: str) -> SequenceStore:
     if not text.strip():
         return SequenceStore(path)
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unrepeated_keys)
     except json.JSONDecodeError as e:
         raise MalformedStore(f"store file {path} is not valid JSON: {e}") from e
     return parse_store(obj, path)
+
+
+def _unrepeated_keys(pairs: list) -> dict:
+    # json.loads keeps only the last of two equal keys; a store file that
+    # names one address twice is refused instead
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedStore(f"store file repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def save_store(store: SequenceStore, path: Optional[str] = None) -> None:

@@ -10,8 +10,9 @@ updates incrementally.
 
 from __future__ import annotations
 
+import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,6 +60,14 @@ class TtlExpired(PacketError):
     """TTL is already 0; the packet cannot be forwarded another hop."""
 
 
+# Addresses parse only in the spelling the report prints, so one address
+# never has two spellings in an input file. [0-9] and [0-9a-f] match ASCII
+# only, where int() would also take a sign, spaces, "_" and other digits.
+_MAC_TEXT = re.compile(r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}")
+_IPV4_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4_TEXT = re.compile(r"\.".join([_IPV4_OCTET] * 4))
+
+
 @dataclass(frozen=True)
 class MacAddr:
     octets: bytes
@@ -69,10 +78,11 @@ class MacAddr:
 
     @classmethod
     def from_text(cls, text: str) -> "MacAddr":
-        parts = text.split(":") if isinstance(text, str) else ()
-        if len(parts) != 6:
+        """Parse the spelling str() prints: six colon-separated parts of two
+        lowercase hex digits."""
+        if not isinstance(text, str) or _MAC_TEXT.fullmatch(text) is None:
             raise ValueError(f"bad MAC address {text!r}")
-        return cls(bytes(int(p, 16) for p in parts))
+        return cls(bytes.fromhex(text.replace(":", "")))
 
     def __str__(self) -> str:
         return ":".join(f"{b:02x}" for b in self.octets)
@@ -88,11 +98,12 @@ class Ipv4Address:
 
     @classmethod
     def from_text(cls, text: str) -> "Ipv4Address":
-        parts = text.split(".") if isinstance(text, str) else ()
-        if len(parts) != 4:
+        """Parse the spelling str() prints: four dotted decimal parts 0-255
+        with no sign, space, underscore or leading zero."""
+        match = _IPV4_TEXT.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
             raise ValueError(f"bad IPv4 address {text!r}")
-        octets = bytes(int(p) for p in parts)
-        return cls(octets)
+        return cls(bytes(map(int, match.groups())))
 
     @cached_property
     def _text(self) -> str:
@@ -103,15 +114,16 @@ class Ipv4Address:
         return self._text
 
 
-@dataclass(frozen=True)
-class EthernetHeader:
+# The headers and the packet are NamedTuples: every forwarding hop rebuilds
+# two of them, and a tuple is built at a fraction of a frozen dataclass's
+# cost. TcpHeader and the addresses stay dataclasses for their checks.
+class EthernetHeader(NamedTuple):
     dst_mac: MacAddr
     src_mac: MacAddr
     ethertype: int = ETHERTYPE_IPV4
 
 
-@dataclass(frozen=True)
-class Ipv4Header:
+class Ipv4Header(NamedTuple):
     src_ip: Ipv4Address
     dst_ip: Ipv4Address
     ttl: int
@@ -155,8 +167,7 @@ def tcp_flags(*names: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     eth: EthernetHeader
     ip: Ipv4Header
     tcp: TcpHeader
@@ -209,7 +220,7 @@ def serialize_packet(p: Packet) -> bytes:
     """Emit the wire frame; the IPv4 checksum is always recomputed."""
     eth = p.eth.dst_mac.octets + p.eth.src_mac.octets + struct.pack("!H", p.eth.ethertype)
     total_length = IPV4_LEN + TCP_LEN + len(p.payload)
-    ip = p.ip if p.ip.total_length == total_length else replace(p.ip, total_length=total_length)
+    ip = p.ip if p.ip.total_length == total_length else p.ip._replace(total_length=total_length)
     checksum = ipv4_checksum(_ipv4_header_bytes(ip, 0))
     ipv4 = _ipv4_header_bytes(ip, checksum)
     tcp = struct.pack(
@@ -319,12 +330,11 @@ def make_packet(src_ip: str | Ipv4Address, dst_ip: str | Ipv4Address,
     if isinstance(dst_mac, str):
         dst_mac = MacAddr.from_text(dst_mac)
     total_length = IPV4_LEN + TCP_LEN + len(payload)
-    unsummed = Ipv4Header(src_ip=src_ip, dst_ip=dst_ip, ttl=ttl, total_length=total_length)
-    checksum = ipv4_checksum(_ipv4_header_bytes(unsummed, 0))
+    checksum = ipv4_checksum(_ipv4_header_bytes(
+        Ipv4Header(src_ip, dst_ip, ttl, PROTO_TCP, 0, total_length), 0))
     return Packet(
-        eth=EthernetHeader(dst_mac=dst_mac, src_mac=src_mac),
-        ip=Ipv4Header(src_ip=src_ip, dst_ip=dst_ip, ttl=ttl, header_checksum=checksum,
-                      total_length=total_length),
-        tcp=TcpHeader(src_port=sport, dst_port=dport, flags=flags, seq=seq, ack=ack),
-        payload=payload,
+        EthernetHeader(dst_mac, src_mac),
+        Ipv4Header(src_ip, dst_ip, ttl, PROTO_TCP, checksum, total_length),
+        TcpHeader(sport, dport, flags, seq, ack),
+        payload,
     )

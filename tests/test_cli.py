@@ -66,6 +66,21 @@ class TestValidate:
         assert run_cli("validate", "--topology", str(path)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("field, text", [
+        ("ip", "10.0.1.+1"), ("ip", " 10.0.1.1"), ("ip", "10.0.1.\u0661"),
+        ("ip", "010.0.1.1"), ("ip", "10.0.1_0.1"),
+        ("mac", "0_2:00:00:00:01:01"), ("mac", "0x2:00:00:00:01:01"),
+        ("mac", "+2:00:00:00:01:01"), ("mac", "2:0:0:0:1:1"),
+    ])
+    def test_non_canonical_host_address_exits_two(self, tmp_path, capsys, field, text):
+        with open(default_topology_path()) as f:
+            topo = json.load(f)
+        topo["hosts"][0][field] = text
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(topo))
+        assert run_cli("validate", "--topology", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: bad host entry")
+
 
 class TestRun:
     def test_bundled_scenario_passes(self, capsys):
@@ -169,6 +184,34 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("entry", [
+        {"ip": "10.0.1.02"}, {"mac": "2:0:0:0:1:2"}, {"mac": "02:00:00:00:01:0x2"},
+        {"mac": "02:00:00:00:01:+2"},
+    ], ids=["ip-leading-zero", "mac-short-parts", "mac-0x", "mac-plus"])
+    def test_non_canonical_acl_address_exits_two(self, tmp_path, capsys, entry):
+        acl = tmp_path / "acl.json"
+        acl.write_text(json.dumps([{"ip": "10.0.1.2", "mac": "02:00:00:00:01:02",
+                                    "verdict": "allow", **entry}]))
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", scenario_path("knock_auth"), "--acl", str(acl))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad ")
+
+    @pytest.mark.parametrize("text", [
+        '{"10.0.1.2": {"knocks": [2000, 3000, 4000], "service": 22},'
+        ' "10.0.1.+2": {"knocks": [5000, 6000, 7000], "service": 22}}',
+        '{"10.0.1.2": {"knocks": [2000, 3000, 4000], "service": 22},'
+        ' "10.0.1.2": {"knocks": [5000, 6000, 7000], "service": 22}}',
+    ], ids=["two-spellings", "repeated-key"])
+    def test_store_naming_one_address_twice_exits_two(self, tmp_path, capsys, text):
+        store = tmp_path / "store.json"
+        store.write_text(text)
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", scenario_path("knock_auth"),
+                       "--store", str(store))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bool_store_port_exits_two(self, tmp_path, capsys):
         store = tmp_path / "store.json"
         store.write_text(json.dumps({"10.0.1.2": {"knocks": [2000, 3000, 4000],
@@ -263,8 +306,15 @@ class TestScenarioInputErrors:
          "action": "Drop"},
         {"switch": "s3", "table": "ipv4_forward", "key": ["10.0.1.3"],
          "action": "Forward", "params": {"port": [1]}},
+        {"switch": "s2", "table": "check_ip", "key": ["10.0.1.+1"],
+         "action": "Drop"},
+        {"switch": "s2", "table": "check_ip", "key": ["010.0.1.1"],
+         "action": "Drop"},
+        {"switch": "s2", "table": "check_mac", "key": ["10.0.1.1", "2:0:0:0:1:1"],
+         "action": "Drop"},
     ], ids=["unknown-table", "bad-key-field", "short-key", "long-key",
-            "forward-port-list"])
+            "forward-port-list", "key-ip-sign", "key-ip-leading-zero",
+            "key-mac-short-parts"])
     def test_bad_preinstall_rule_exits_two(self, tmp_path, capsys, rule):
         code = run_scenario_obj(tmp_path, {"events": [],
                                            "preinstall": [rule]})

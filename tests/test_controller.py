@@ -172,9 +172,12 @@ class TestSequenceStore:
         {H_IP: {"knocks": [2222, 2222, 4444], "service": 22}},
         {H_IP: {"knocks": [2222, 3333, 4444], "service": 2222}},
         {H_IP: {"knocks": [2222, 3333, 4444], "service": True}},
+        {"10.0.1.2": {"knocks": [2222, 3333, 4444], "service": 22},
+         "10.0.1.+2": {"knocks": [5555, 6666, 7777], "service": 22}},
     ], ids=["not-dict", "bad-ip", "missing-service", "extra-field",
             "non-int-knock", "two-knocks", "reserved-port-knock",
-            "duplicate-knock", "service-is-knock", "bool-service"])
+            "duplicate-knock", "service-is-knock", "bool-service",
+            "one-ip-two-spellings"])
     def test_rejects_malformed(self, obj):
         with pytest.raises(ctl.MalformedStore):
             ctl.parse_store(obj)
@@ -183,6 +186,18 @@ class TestSequenceStore:
         path = tmp_path / "store.json"
         path.write_text("{nope")
         with pytest.raises(ctl.MalformedStore):
+            ctl.load_store(str(path))
+
+    @pytest.mark.parametrize("text", [
+        '{"10.0.1.2": {"knocks": [2222, 3333, 4444], "service": 22},'
+        ' "10.0.1.2": {"knocks": [5555, 6666, 7777], "service": 22}}',
+        '{"10.0.1.2": {"knocks": [2222, 3333, 4444], "knocks": [5555, 6666, 7777],'
+        ' "service": 22}}',
+    ], ids=["repeated-ip", "repeated-field"])
+    def test_load_repeated_key(self, tmp_path, text):
+        path = tmp_path / "store.json"
+        path.write_text(text)
+        with pytest.raises(ctl.MalformedStore, match="repeats the key"):
             ctl.load_store(str(path))
 
     def test_save_in_memory_store_is_noop(self):

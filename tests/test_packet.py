@@ -1,5 +1,5 @@
+import copy
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -190,11 +190,41 @@ class TestTtl:
         p = pk.Packet(
             eth=pk.EthernetHeader(dst_mac=pk.MacAddr(b"\x02" * 6),
                                   src_mac=pk.MacAddr(b"\x04" * 6)),
-            ip=replace(unsummed, header_checksum=valid),
+            ip=unsummed._replace(header_checksum=valid),
             tcp=pk.TcpHeader(src_port=1, dst_port=2))
         hopped = pk.decrement_ttl(p).ip
-        assert hopped == replace(unsummed, ttl=ttl - 1, header_checksum=hopped.header_checksum)
+        assert hopped == unsummed._replace(ttl=ttl - 1, header_checksum=hopped.header_checksum)
         assert hopped.header_checksum == pk.ipv4_checksum(pk._ipv4_header_bytes(hopped, 0))
+
+
+class TestHeaderValues:
+    @pytest.mark.parametrize("value, field", [
+        (golden_packet(), "payload"),
+        (golden_packet(), "ip"),
+        (golden_packet().ip, "ttl"),
+        (golden_packet().eth, "ethertype"),
+    ])
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+
+    def test_decrement_ttl_leaves_its_input_unchanged(self):
+        p = pk.parse_packet(GOLDEN_PAYLOAD)
+        before = copy.deepcopy(p)
+        pk.decrement_ttl(p)
+        assert p == before
+        assert pk.serialize_packet(p) == GOLDEN_PAYLOAD
+
+    def test_tcp_port_range_is_checked(self):
+        with pytest.raises(ValueError):
+            pk.TcpHeader(70000, 1)
+
+    def test_serialize_rewrites_a_stale_total_length(self):
+        right = pk.make_packet("10.0.5.1", "10.0.1.2", "02:00:00:00:05:01",
+                               "02:00:00:00:01:02", 40000, 22, payload=b"hello")
+        stale = right._replace(ip=right.ip._replace(total_length=right.ip.total_length - 5))
+        assert pk.serialize_packet(stale) == pk.serialize_packet(right)
+        assert pk.parse_packet(pk.serialize_packet(stale)) == right
 
 
 class TestMakePacket:
@@ -271,6 +301,23 @@ class TestAddressText:
         a, b = pk.Ipv4Address(b"\x0a\x00\x01\x02"), pk.Ipv4Address.from_text("10.0.1.2")
         assert a == b and hash(a) == hash(b) and str(a) == "10.0.1.2"
         assert repr(a) == "Ipv4Address(octets=b'\\n\\x00\\x01\\x02')"
+
+    @pytest.mark.parametrize("text", [
+        "10.0.1.+2", " 10.0.1.2", "10.0.1.2 ", "10.0.1.\u0662", "010.0.1.2",
+        "10.0.1_0.2", "10.0.1.256", "10.0.1.2\n", "10..1.2",
+    ])
+    def test_ip_text_must_be_canonical(self, text):
+        with pytest.raises(ValueError, match="bad IPv4 address"):
+            pk.Ipv4Address.from_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "0_2:00:00:00:01:02", "0x2:00:00:00:01:02", "+2:00:00:00:01:02",
+        "2:0:0:0:1:2", "02:00:00:00:01:0A", "02:00:00:00:01:02\n",
+        "002:00:00:00:01:02",
+    ])
+    def test_mac_text_must_be_canonical(self, text):
+        with pytest.raises(ValueError, match="bad MAC address"):
+            pk.MacAddr.from_text(text)
 
     def test_bad_lengths(self):
         with pytest.raises(ValueError):
