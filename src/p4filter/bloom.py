@@ -61,10 +61,6 @@ class BloomFilter:
     def popcount(self) -> int:
         return self.bits.bit_count()
 
-    def clear(self) -> None:
-        self.bits = 0
-        self.inserted_count = 0
-
 
 @dataclass
 class BloomPair:
@@ -88,7 +84,3 @@ class BloomPair:
     def contains(self, key: FlowKey) -> bool:
         """Membership requires BOTH filters to agree (AND semantics)."""
         return self.f1.contains(key) and self.f2.contains(key)
-
-    def clear(self) -> None:
-        self.f1.clear()
-        self.f2.clear()

@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
 
     if args.out:
         try:
-            with open(args.out, "w") as f:
+            with open(args.out, "w", encoding="utf-8") as f:
                 f.write(report.canonical_text())
         except OSError as e:
             raise ReportNotWritten(f"cannot write report file {args.out}: {e}") from e

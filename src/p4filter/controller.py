@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import tables
+from .bundled import read_json
 from .knocking import POS_SERVICE, KnockSequence
 from .packet import Ipv4Address, MacAddr, parse_packet
 from .switch import FEAT_KNOCKING, FEAT_STATELESS
@@ -79,16 +80,7 @@ def parse_acl(obj) -> dict[Ipv4Address, AclEntry]:
 
 
 def load_acl(path: str) -> dict[Ipv4Address, AclEntry]:
-    try:
-        with open(path) as f:
-            text = f.read()
-    except (OSError, ValueError) as e:   # ValueError: a NUL in the path
-        raise MalformedAcl(f"cannot read ACL file {path}: {e}") from e
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MalformedAcl(f"ACL file {path} is not valid JSON: {e}") from e
-    return parse_acl(obj)
+    return parse_acl(read_json(path, MalformedAcl, "ACL"))
 
 
 class SequenceStore:
@@ -147,31 +139,7 @@ def parse_store(obj, path: Optional[str] = None) -> SequenceStore:
 
 def load_store(path: str) -> SequenceStore:
     """Read a store file; a missing or empty file is an empty store."""
-    try:
-        with open(path) as f:
-            text = f.read()
-    except FileNotFoundError:
-        return SequenceStore(path)
-    except (OSError, ValueError) as e:   # a directory, undecodable bytes, a NUL
-        raise MalformedStore(f"cannot read store file {path}: {e}") from e
-    if not text.strip():
-        return SequenceStore(path)
-    try:
-        obj = json.loads(text, object_pairs_hook=_unrepeated_keys)
-    except json.JSONDecodeError as e:
-        raise MalformedStore(f"store file {path} is not valid JSON: {e}") from e
-    return parse_store(obj, path)
-
-
-def _unrepeated_keys(pairs: list) -> dict:
-    # json.loads keeps only the last of two equal keys; a store file that
-    # names one address twice is refused instead
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise MalformedStore(f"store file repeats the key {key!r}")
-        obj[key] = value
-    return obj
+    return parse_store(read_json(path, MalformedStore, "store", empty=True), path)
 
 
 def save_store(store: SequenceStore, path: Optional[str] = None) -> None:
@@ -185,7 +153,7 @@ def save_store(store: SequenceStore, path: Optional[str] = None) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
                                    prefix=f".{os.path.basename(target)}.", suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(store.canonical_text())
             f.flush()
             os.fsync(f.fileno())

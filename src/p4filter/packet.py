@@ -150,13 +150,10 @@ class TcpHeader:
         if not 0 <= self.src_port <= 0xFFFF or not 0 <= self.dst_port <= 0xFFFF:
             raise ValueError("TCP port out of range")
 
-    def has(self, bit: int) -> bool:
-        return bool(self.flags & bit)
-
     @property
     def is_pure_syn(self) -> bool:
         """SYN set with ACK clear: a fresh connection attempt (or knock)."""
-        return self.has(SYN) and not self.has(ACK)
+        return self.flags & (SYN | ACK) == SYN
 
 
 def tcp_flags(*names: str) -> int:

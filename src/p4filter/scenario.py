@@ -11,10 +11,10 @@ host's identity while keeping the real attachment point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+from .bundled import read_json
 from .controller import SequenceStore
 from .packet import FLAG_BITS, IPV4_LEN, TCP_LEN, Ipv4Address, tcp_flags
 
@@ -264,14 +264,7 @@ def parse_scenario(obj) -> ScenarioSpec:
 
 
 def load_scenario(path: str) -> ScenarioSpec:
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except OSError as e:
-        raise InvalidScenario(f"cannot read scenario file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InvalidScenario(f"scenario file {path} is not valid JSON: {e}") from e
-    return parse_scenario(obj)
+    return parse_scenario(read_json(path, InvalidScenario, "scenario"))
 
 
 def knock_client(owner_ip: Ipv4Address, store: SequenceStore,

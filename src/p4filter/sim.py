@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .scenario import (COUNTERS, InvalidScenario, KnockAction, ScenarioSpec,
                        SendAction, knock_client)
 from .tables import (FORWARD, Action, Rule, SchemaMismatch, TableError, KIND_IPV4,
                      KIND_MAC)
+from .switch import knock_pos
 from .topology import TopologySpec, build_network, compute_routes
 from .verdict import CONSUMED, DROPPED
 
@@ -197,12 +199,17 @@ class Simulator:
                     for kind, text in zip(table.schema, pre.key)
                 )
                 action = Action.make(pre.action, **dict(pre.params))
-                # the pipeline sends a packet out of a route's port
-                if (table is switch.ipv4_forward and action.kind == FORWARD
-                        and type(action.param("port")) is not int):
-                    raise SchemaMismatch(
-                        "a Forward route needs an integer 'port',"
-                        f" got {action.param('port')!r}")
+                # the table's own check first, so its message names what it needs
+                if table is switch.knock_rules:
+                    knock_pos(action)
+                elif (table is switch.ipv4_forward and action.kind == FORWARD
+                        and action.param("port") is None):
+                    raise SchemaMismatch("a Forward route needs a 'port'")
+                # P4 action data is bit<W>: every parameter is an integer
+                for name, value in pre.params:
+                    if type(value) is not int:
+                        raise SchemaMismatch(
+                            f"action parameter {name!r} must be an integer, got {value!r}")
                 switch.apply_rule_install([(pre.table, Rule(key, action))])
             except (TableError, ValueError) as e:
                 raise InvalidScenario(f"{bad_rule}: {e}") from e
@@ -288,11 +295,17 @@ class Simulator:
         return report
 
 
+# a port key is ASCII decimal with no sign, space, underscore or leading zero
+_PORT_TEXT = re.compile(r"0|[1-9][0-9]{0,4}")
+
+
 def _parse_key_field(kind: str, text: str):
     if kind == KIND_IPV4:
         return Ipv4Address.from_text(text)
     if kind == KIND_MAC:
         return MacAddr.from_text(text)
+    if _PORT_TEXT.fullmatch(text) is None or int(text) > 0xFFFF:
+        raise ValueError(f"bad port {text!r}: want a decimal number in 0..65535")
     return int(text)
 
 

@@ -35,6 +35,15 @@ STAGE_KNOCKING = "knocking"
 STAGE_FORWARD = "forward"
 
 
+def knock_pos(action: tables.Action) -> int:
+    """The position a knock_rules action grants: an integer in 0..3."""
+    pos = action.param("pos")
+    if type(pos) is not int or not 0 <= pos <= POS_SERVICE:
+        raise tables.SchemaMismatch(
+            f"knock_rules action needs an integer 'pos' in 0..3, got {pos!r}")
+    return pos
+
+
 class UnknownPort(Exception):
     """Packet arrived on a port the switch does not have — fatal
     configuration error."""
@@ -204,10 +213,7 @@ class P4Switch:
             if table is not self.knock_rules:
                 table.insert(rule)
                 continue
-            pos = rule.action.param("pos")
-            if type(pos) is not int or not 0 <= pos <= POS_SERVICE:
-                raise tables.SchemaMismatch(
-                    f"knock_rules action needs an integer 'pos' in 0..3, got {pos!r}")
+            pos = knock_pos(rule.action)
             table.insert(rule)     # checks the key before anything changes
             ip, port = rule.key
             ports = self._knock_ports.setdefault(ip, {})

@@ -12,10 +12,10 @@ knocking switch with its first allowed punt.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
+from .bundled import read_json
 from .packet import Ipv4Address, MacAddr
 from .switch import FEAT_KNOCKING, P4Switch, SwitchConfig
 from .tables import Rule, forward
@@ -154,14 +154,7 @@ def parse_topology(obj) -> TopologySpec:
 
 
 def load_topology(path: str) -> TopologySpec:
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except OSError as e:
-        raise InvalidTopology(f"cannot read topology file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InvalidTopology(f"topology file {path} is not valid JSON: {e}") from e
-    return parse_topology(obj)
+    return parse_topology(read_json(path, InvalidTopology, "topology"))
 
 
 def _adjacency(spec: TopologySpec) -> dict[str, list[tuple[str, int]]]:

@@ -91,13 +91,6 @@ class TestBloomFilter:
             f.insert(fk(n, n + 1, 1024 + n, 80))
         assert 0 < f.popcount() <= 200
 
-    def test_clear(self):
-        f = BloomFilter(m=DEFAULT_M, hash_id=1)
-        f.insert(fk(1, 2, 1000, 80))
-        f.clear()
-        assert f.popcount() == 0 and f.inserted_count == 0
-        assert not f.contains(fk(1, 2, 1000, 80))
-
 
 class TestBloomPair:
     def test_requires_distinct_hash_ids(self):
@@ -158,10 +151,3 @@ class TestBloomPair:
             hits += pair.contains(probe)
         analytic = (1.0 - math.exp(-1000 / 4096)) ** 2
         assert abs(hits / probes - analytic) <= 0.01
-
-    def test_clear(self):
-        pair = BloomPair()
-        pair.insert(fk(1, 2, 1000, 80))
-        pair.clear()
-        assert not pair.contains(fk(1, 2, 1000, 80))
-        assert pair.f1.popcount() == 0 and pair.f2.popcount() == 0

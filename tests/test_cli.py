@@ -312,9 +312,23 @@ class TestScenarioInputErrors:
          "action": "Drop"},
         {"switch": "s2", "table": "check_mac", "key": ["10.0.1.1", "2:0:0:0:1:1"],
          "action": "Drop"},
+        {"switch": "s6", "table": "knock_rules", "key": ["10.0.1.1", " +2_2"],
+         "action": "SetAllowed", "params": {"pos": 0}},
+        {"switch": "s1", "table": "check_ports", "key": ["\u0663"],
+         "action": "SetDirection", "params": {"dir": 1}},
+        {"switch": "s6", "table": "knock_rules", "key": ["10.0.1.1", "70000"],
+         "action": "SetAllowed", "params": {"pos": 0}},
+        {"switch": "s1", "table": "check_ports", "key": ["01"],
+         "action": "SetDirection", "params": {"dir": 1}},
+        {"switch": "s3", "table": "ipv4_forward", "key": ["10.0.1.3"],
+         "action": "Forward"},
+        {"switch": "s3", "table": "ipv4_forward", "key": ["10.0.1.3"],
+         "action": "Forward", "params": {"port": 0.5}},
     ], ids=["unknown-table", "bad-key-field", "short-key", "long-key",
             "forward-port-list", "key-ip-sign", "key-ip-leading-zero",
-            "key-mac-short-parts"])
+            "key-mac-short-parts", "key-port-sign-space-underscore",
+            "key-port-arabic-indic-digit", "key-port-70000", "key-port-leading-zero",
+            "forward-no-port", "forward-port-float"])
     def test_bad_preinstall_rule_exits_two(self, tmp_path, capsys, rule):
         code = run_scenario_obj(tmp_path, {"events": [],
                                            "preinstall": [rule]})
@@ -322,6 +336,20 @@ class TestScenarioInputErrors:
         err = capsys.readouterr().err
         assert f"bad preinstall rule {rule['table']} {rule['key']}" in err
 
+
+    @pytest.mark.parametrize("value", ["1e400", "0.5", "-1.0", '"1"', "[1]", "true",
+                                       "null"])
+    def test_non_integer_action_param_exits_two(self, tmp_path, capsys, value):
+        # written as raw text: 1e400 is a JSON number Python reads as inf
+        path = tmp_path / "scenario.json"
+        path.write_text('{"events": [], "preinstall": [{"switch": "s1",'
+                        ' "table": "check_ports", "key": ["1"],'
+                        ' "action": "SetDirection", "params": {"dir": %s}}]}' % value)
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", str(path))
+        assert code == 2
+        assert ("bad preinstall rule check_ports ['1'] on s1: action parameter"
+                " 'dir' must be an integer") in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario, message", [
         ({"events": [{"time": True, "host": "h1", "action": "send",
@@ -395,6 +423,109 @@ class TestScenarioInputErrors:
         err = capsys.readouterr().err
         assert "bad preinstall rule knock_rules ['10.0.1.2', '2222']" in err
         assert "'pos' in 0..3" in err
+
+
+def run_with_file(flag, path):
+    """Exit code of `p4filter run` on the bundled knock_auth inputs, with the
+    file given as `flag` replaced by `path`."""
+    files = {"--topology": default_topology_path(),
+             "--scenario": scenario_path("knock_auth"), flag: str(path)}
+    return run_cli("run", *(arg for item in files.items() for arg in item))
+
+
+FILE_FLAGS = ["--topology", "--scenario", "--acl", "--store"]
+
+
+class TestInputFiles:
+    """Every input file is UTF-8 JSON as RFC 8259 defines it, with no NaN
+    or Infinity and no object that repeats a key; anything else exits 2."""
+
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
+    def test_undecodable_file_exits_two(self, tmp_path, capsys, flag):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run_with_file(flag, path) == 2
+        kind = {"--acl": "ACL"}.get(flag, flag[2:])
+        assert f"error: cannot read {kind} file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text, key", [
+        ("--topology", None, "ip"),
+        ("--scenario", '{"name": "a", "events": [], "name": "b"}', "name"),
+        ("--acl", '[{"ip": "10.0.2.1", "verdict": "deny", "verdict": "allow"}]',
+         "verdict"),
+        ("--store", '{"10.0.1.3": {"knocks": [2222, 3333, 4444], "service": 22,'
+         ' "service": 23}}', "service"),
+    ], ids=["topology-host-ip", "scenario-name", "acl-verdict", "store-service"])
+    def test_repeated_key_exits_two(self, tmp_path, capsys, flag, text, key):
+        if text is None:   # the bundled topology, its first host's ip given twice
+            with open(default_topology_path(), encoding="utf-8") as f:
+                text = f.read().replace('"ip": "10.0.1.1"',
+                                        '"ip": "10.0.1.1", "ip": "10.0.1.77"', 1)
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert run_with_file(flag, path) == 2
+        assert f"file {path} repeats the key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--topology", '{"switches": NaN, "hosts": [], "links": []}'),
+        ("--scenario", '{"events": [], "preinstall": [{"switch": "s1", "table":'
+         ' "check_ports", "key": ["1"], "action": "SetDirection",'
+         ' "params": {"dir": NaN}}]}'),
+        ("--scenario", '{"events": [], "seed": Infinity}'),
+        ("--scenario", '{"events": [], "seed": -Infinity}'),
+        ("--acl", '[{"ip": "10.0.2.1", "verdict": NaN}]'),
+        ("--store", '{"10.0.1.3": {"knocks": [NaN, 3333, 4444], "service": 22}}'),
+    ], ids=["topology-nan", "scenario-params-nan", "scenario-infinity",
+            "scenario-minus-infinity", "acl-nan", "store-nan"])
+    def test_non_number_constant_exits_two(self, tmp_path, capsys, flag, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert run_with_file(flag, path) == 2
+        assert f"file {path} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000],
+                             ids=["nested-too-deep", "integer-too-long"])
+    def test_json_beyond_the_parser_limits_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "topology.json"
+        path.write_text(text)
+        assert run_cli("validate", "--topology", str(path)) == 2
+        assert f"topology file {path} is not valid JSON" in capsys.readouterr().err
+
+
+class TestTextEncoding:
+    """No file is opened as text without naming UTF-8: EncodingWarning is
+    turned into an error in a child process that reads every input kind
+    and writes a store and a report."""
+
+    @staticmethod
+    def run_strict(*argv, cwd):
+        package_parent = os.path.dirname(
+            os.path.dirname(os.path.abspath(p4filter.__file__)))
+        env = dict(os.environ, PYTHONPATH=package_parent)
+        return subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "p4filter.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=cwd)
+
+    def test_validate(self, tmp_path):
+        result = self.run_strict("validate", "--topology", default_topology_path(),
+                                 cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+
+    def test_run_with_acl_store_and_out(self, tmp_path):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({"10.0.1.3": {"knocks": [2222, 3333, 4444],
+                                                  "service": 22}}))
+        out = tmp_path / "report.json"
+        result = self.run_strict(
+            "run", "--topology", default_topology_path(),
+            "--scenario", scenario_path("knock_auth"),
+            "--acl", data_file("acl_knock.json"), "--store", str(store),
+            "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        # h2 (10.0.1.2) was admitted, so the store was written, and so was the report
+        assert set(json.loads(store.read_text())) == {"10.0.1.2", "10.0.1.3"}
+        assert json.loads(out.read_text())["scenario"] == "knock_auth"
 
 
 class TestEntryPoint:

@@ -104,6 +104,20 @@ class TestAclParsing:
         with pytest.raises(ctl.MalformedAcl):
             ctl.load_acl(str(path))
 
+    def test_load_repeated_verdict(self, tmp_path):
+        # json.loads alone would load this entry as allow
+        path = tmp_path / "acl.json"
+        path.write_text(f'[{{"ip": "{BAD_IP}", "verdict": "deny", "verdict": "allow"}}]')
+        with pytest.raises(ctl.MalformedAcl, match="repeats the key 'verdict'"):
+            ctl.load_acl(str(path))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_load_non_number_constant(self, tmp_path, constant):
+        path = tmp_path / "acl.json"
+        path.write_text(f'[{{"ip": "{H_IP}", "verdict": {constant}}}]')
+        with pytest.raises(ctl.MalformedAcl, match=f"is not valid JSON: {constant} is not"):
+            ctl.load_acl(str(path))
+
 
 class TestSequenceGeneration:
     def test_deterministic_for_a_seed(self):
@@ -193,12 +207,29 @@ class TestSequenceStore:
         ' "10.0.1.2": {"knocks": [5555, 6666, 7777], "service": 22}}',
         '{"10.0.1.2": {"knocks": [2222, 3333, 4444], "knocks": [5555, 6666, 7777],'
         ' "service": 22}}',
-    ], ids=["repeated-ip", "repeated-field"])
+        '{"10.0.1.2": {"knocks": [2222, 3333, 4444], "service": 22, "service": 23}}',
+        '{"10.0.1.2": {"knocks": [2222, 3333, 4444], "service": 22},'
+        ' "10.0.1.3": {"knocks": [5555, 6666, 7777], "service": 22},'
+        ' "10.0.1.3": {"knocks": [5555, 6666, 7777], "service": 22}}',
+    ], ids=["repeated-ip", "repeated-field", "repeated-service", "equal-repeat-later"])
     def test_load_repeated_key(self, tmp_path, text):
         path = tmp_path / "store.json"
         path.write_text(text)
         with pytest.raises(ctl.MalformedStore, match="repeats the key"):
             ctl.load_store(str(path))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_load_non_number_constant(self, tmp_path, constant):
+        path = tmp_path / "store.json"
+        path.write_text(f'{{"{H_IP}": {{"knocks": [2222, 3333, {constant}], "service": 22}}}}')
+        with pytest.raises(ctl.MalformedStore, match=f"is not valid JSON: {constant} is not"):
+            ctl.load_store(str(path))
+
+    def test_blank_file_is_empty(self, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(" \n\t")
+        store = ctl.load_store(str(path))
+        assert store.sequences == {} and store.path == str(path)
 
     def test_save_in_memory_store_is_noop(self):
         store = ctl.SequenceStore()

@@ -1,19 +1,22 @@
 """Every input parser, fed any JSON value or a valid input with one leaf
 replaced by any JSON value, returns a spec or raises its own named
-exception: never a TypeError, AttributeError or other traceback. The `run`
-command, fed any JSON scenario, exits 0, 1 or 2."""
+exception: never a TypeError, AttributeError or other traceback. Every
+loader does the same for a file holding any bytes, and loads each bundled
+data file. The `run` command, fed any JSON scenario, exits 0, 1 or 2."""
 
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p4filter import cli
-from p4filter.bundled import data_file, default_topology_path
-from p4filter.controller import MalformedAcl, MalformedStore, parse_acl, parse_store
-from p4filter.scenario import InvalidScenario, parse_scenario
-from p4filter.topology import InvalidTopology, parse_topology
+from p4filter.bundled import data_file, default_topology_path, read_json
+from p4filter.controller import (MalformedAcl, MalformedStore, load_acl, load_store,
+                                 parse_acl, parse_store)
+from p4filter.scenario import InvalidScenario, load_scenario, parse_scenario
+from p4filter.topology import InvalidTopology, load_topology, parse_topology
 
 # The field names and typical values of every input format, so generated
 # objects reach past the top-level type checks.
@@ -78,14 +81,10 @@ def with_leaf(value, path, new):
             for index, item in enumerate(value)]
 
 
-def _json_file(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 VALID_INPUTS = [
-    (parse_topology, InvalidTopology, _json_file(default_topology_path())),
-    (parse_acl, MalformedAcl, _json_file(data_file("acl_knock.json"))),
+    (parse_topology, InvalidTopology,
+     read_json(default_topology_path(), InvalidTopology, "topology")),
+    (parse_acl, MalformedAcl, read_json(data_file("acl_knock.json"), MalformedAcl, "ACL")),
     (parse_store, MalformedStore, {"10.0.1.2": {"knocks": [2000, 3000, 4000],
                                                 "service": 22}}),
 ]
@@ -104,6 +103,43 @@ def test_one_replaced_leaf_gives_a_spec_or_the_named_error(parse, error, documen
         parse(changed)
     except error:
         pass
+
+
+LOADERS = {"topology": (load_topology, InvalidTopology),
+           "scenario": (load_scenario, InvalidScenario),
+           "acl": (load_acl, MalformedAcl),
+           "store": (load_store, MalformedStore)}
+
+# Any bytes, JSON text of any value (floats include the infinities, which
+# json.dumps writes as Infinity), and the same text in UTF-16.
+file_bytes = (st.binary(max_size=40)
+              | json_values.map(lambda v: json.dumps(v).encode())
+              | json_values.map(lambda v: json.dumps(v, ensure_ascii=False).encode("utf-16")))
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@given(content=file_bytes)
+@settings(max_examples=150, deadline=None)
+def test_loader_returns_a_spec_or_raises_its_named_error(tmp_path_factory, kind,
+                                                         content):
+    load, error = LOADERS[kind]
+    path = tmp_path_factory.mktemp("bytes") / "input.json"
+    path.write_bytes(content)
+    try:
+        load(str(path))
+    except error:
+        pass
+
+
+BUNDLED = sorted(f.name for f in (resources.files("p4filter") / "data").iterdir()
+                 if f.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_data_file_loads(name):
+    # a failure here is a bug in the data file, not in the reader
+    load, _ = LOADERS[name.split("_")[0]]
+    load(data_file(name))
 
 
 # Events close enough to valid ones that most runs get past the parser:
