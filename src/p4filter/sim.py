@@ -1,11 +1,12 @@
 """Discrete-event network simulator and scenario runner.
 
 Time is integer ticks. A host's injected packet is processed by its switch
-at the event's tick; every link traversal (switch to switch, switch to
-host) costs one tick. The event queue orders by (time, insertion sequence),
-which gives FIFO delivery per link and full run-to-run determinism. Punts
-are resolved synchronously: the controller's rule installs land on the
-punting switch within the same tick, before any later event is processed.
+at the event's tick; every switch-to-switch link costs one tick, and a
+packet a switch sends out of a host's port is counted delivered then. The
+event queue orders by (time, insertion sequence), which gives FIFO delivery
+per link and full run-to-run determinism. Punts are resolved synchronously:
+the controller's rule installs land on the punting switch within the same
+tick, before any later event is processed.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .controller import AclEntry, Controller, SequenceStore
-from .packet import Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
+from .packet import SYN, Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
 from .render import render
-from .scenario import (COUNTERS, InvalidScenario, KnockAction, ScenarioSpec,
-                       SendAction, knock_client)
+from .scenario import COUNTERS, InvalidScenario, ScenarioSpec, SendAction, knock_client
 from .tables import (FORWARD, Action, Rule, SchemaMismatch, TableError, KIND_IPV4,
                      KIND_MAC)
 from .switch import knock_pos
@@ -49,15 +49,7 @@ class RunReport:
     knock_stages: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "trace": self.trace,
-            "hosts": self.hosts,
-            "rules": self.rules,
-            "sequences": self.sequences,
-            "knock_stages": self.knock_stages,
-        }
+        return dict(vars(self))
 
     def canonical_text(self) -> str:
         """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)` plus
@@ -89,7 +81,6 @@ class Simulator:
 
     def __init__(self, topo: TopologySpec, acl: dict[Ipv4Address, AclEntry],
                  store: SequenceStore, seed: int):
-        self.topo = topo
         self.seed = seed
         self._trace: list[dict] = []
         routes = compute_routes(topo)
@@ -103,12 +94,12 @@ class Simulator:
             routes=routes,
         )
         self.hosts = topo.host_by_name()
-        self.attach: dict[tuple[str, int], tuple] = {}
-        for h in topo.hosts:
-            self.attach[(h.switch, h.port)] = ("host", h.name)
+        self.host_ports = {(h.switch, h.port) for h in topo.hosts}
+        # (switch, port) -> the (switch, port) at the link's other end
+        self.links: dict[tuple[str, int], tuple[str, int]] = {}
         for link in topo.links:
-            self.attach[(link.switch_a, link.port_a)] = ("link", link.switch_b, link.port_b)
-            self.attach[(link.switch_b, link.port_b)] = ("link", link.switch_a, link.port_a)
+            self.links[link.switch_a, link.port_a] = (link.switch_b, link.port_b)
+            self.links[link.switch_b, link.port_b] = (link.switch_a, link.port_a)
 
         self._queue: list[tuple] = []
         self._seq = 0
@@ -130,53 +121,33 @@ class Simulator:
         self._ephemeral[host] = port + 1
         return port
 
-    def _inject(self, time: int, sender: str, packet: Packet) -> None:
-        host = self.hosts[sender]
-        self._stats[sender]["sent"] += 1
-        self._push(time, ("packet", sender, host.switch, host.port, packet))
-
-    def _build_packet(self, sender: str, dst: str, dport: int, sport: int,
-                      flags: int, ttl: int, payload: bytes,
-                      src_ip_of: Optional[str], src_mac_of: Optional[str]) -> Packet:
-        for name in (dst, src_ip_of, src_mac_of):
-            if name is not None and name not in self.hosts:
-                raise InvalidScenario(f"unknown host {name!r}")
-        target = self.hosts[dst]
-        return make_packet(
-            src_ip=self.hosts[src_ip_of or sender].ip, dst_ip=target.ip,
-            src_mac=self.hosts[src_mac_of or sender].mac, dst_mac=target.mac,
-            sport=sport, dport=dport, flags=flags, ttl=ttl, payload=payload)
-
     # -- event expansion ---------------------------------------------------
 
     def _expand(self, time: int, sender: str, action) -> None:
-        if sender not in self.hosts:
-            raise InvalidScenario(f"unknown host {sender!r}")
+        """Schedule an event's packets; `run` has checked every host name."""
         if isinstance(action, SendAction):
-            for i in range(action.repeat):
-                sport = action.sport if action.sport is not None else self._next_sport(sender)
-                packet = self._build_packet(
-                    sender, action.dst, action.dport, sport, action.flag_bits,
-                    action.ttl, action.payload, action.src_ip_of, action.src_mac_of)
-                self._inject(time + i * action.gap, sender, packet)
-        elif isinstance(action, KnockAction):
+            probes = [(i * action.gap, action.dport) for i in range(action.repeat)]
+            sport, flags, ttl, payload = (
+                action.sport, action.flag_bits, action.ttl, action.payload)
+        else:
             # default to the spoofed identity's sequence when spoofing,
             # else the sender's own
-            seq_owner = action.sequence_of or action.src_ip_of or sender
-            if seq_owner not in self.hosts:
-                raise InvalidScenario(f"unknown host {seq_owner!r}")
+            owner = action.sequence_of or action.src_ip_of or sender
             probes = knock_client(
-                self.hosts[seq_owner].ip, self.store,
-                order=action.order, spacing=action.spacing,
-                include_service=action.include_service)
-            for offset, dport in probes:
-                sport = self._next_sport(sender)
-                packet = self._build_packet(
-                    sender, action.dst, dport, sport, 0x02, 64, b"",
-                    action.src_ip_of, action.src_mac_of)
-                self._inject(time + offset, sender, packet)
-        else:
-            raise InvalidScenario(f"unknown action type {type(action).__name__}")
+                self.hosts[owner].ip, self.store, order=action.order,
+                spacing=action.spacing, include_service=action.include_service)
+            sport, flags, ttl, payload = None, SYN, 64, b""
+        host, target = self.hosts[sender], self.hosts[action.dst]
+        src_ip = self.hosts[action.src_ip_of or sender].ip
+        src_mac = self.hosts[action.src_mac_of or sender].mac
+        stats = self._stats[sender]
+        for offset, dport in probes:
+            packet = make_packet(
+                src_ip=src_ip, dst_ip=target.ip, src_mac=src_mac, dst_mac=target.mac,
+                sport=sport if sport is not None else self._next_sport(sender),
+                dport=dport, flags=flags, ttl=ttl, payload=payload)
+            stats["sent"] += 1
+            self._push(time + offset, ("packet", sender, host.switch, host.port, packet))
 
     # -- preinstall --------------------------------------------------------
 
@@ -220,6 +191,12 @@ class Simulator:
         for host in scenario.expect.get("hosts", {}):
             if host not in self.hosts:
                 raise InvalidScenario(f"expect references unknown host {host!r}")
+        for event in scenario.events:
+            action = event.action
+            for name in (event.host, action.dst, action.src_ip_of, action.src_mac_of,
+                         getattr(action, "sequence_of", None)):
+                if name is not None and name not in self.hosts:
+                    raise InvalidScenario(f"unknown host {name!r}")
         self._apply_preinstall(scenario)
         for event in scenario.events:
             self._push(event.time, ("event", event.host, event.action))
@@ -227,15 +204,12 @@ class Simulator:
         while self._queue:
             time, _, item = heapq.heappop(self._queue)
             self._now = time
-            kind = item[0]
-            if kind == "event":
+            if item[0] == "event":
                 _, sender, action = item
                 self._expand(time, sender, action)
-            elif kind == "packet":
+            else:
                 _, sender, switch_id, ingress_port, packet = item
                 self._process_at_switch(time, sender, switch_id, ingress_port, packet)
-            elif kind == "deliver":
-                self._stats[item[1]]["delivered"] += 1
 
         return self._report(scenario)
 
@@ -260,13 +234,14 @@ class Simulator:
             switch.apply_rule_install(installs)
             stats["punted"] += 1
             return
-        dest = self.attach.get((switch_id, out.egress_port))
-        if dest is None:
+        egress = (switch_id, out.egress_port)
+        peer = self.links.get(egress)
+        if peer is not None:
+            self._push(time + 1, ("packet", sender, *peer, out.packet))
+        elif egress in self.host_ports:
+            stats["delivered"] += 1
+        else:   # a port with nothing attached
             stats["dropped"] += 1
-        elif dest[0] == "host":
-            self._push(time + 1, ("deliver", sender))
-        else:
-            self._push(time + 1, ("packet", sender, dest[1], dest[2], out.packet))
 
     # -- reporting ---------------------------------------------------------
 

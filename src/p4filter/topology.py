@@ -54,15 +54,19 @@ class TopologySpec:
 
 def _check_name(name, what: str) -> None:
     # ids and names are dict keys and report text, so a list or a number
-    # must not get that far
+    # must not get that far, nor a lone surrogate (which JSON can spell)
     if not isinstance(name, str):
         raise InvalidTopology(f"{what}: {name!r} is not a string")
+    try:
+        name.encode()
+    except UnicodeEncodeError as e:
+        raise InvalidTopology(f"{what}: {name!r} is not valid Unicode text") from e
 
 
 def _check_port(port, what: str) -> None:
     # bool is an int subclass, and True would pass for port 1
-    if not isinstance(port, int) or isinstance(port, bool):
-        raise InvalidTopology(f"{what}: port {port!r} is not an integer")
+    if type(port) is not int or not 0 <= port <= 0xFFFF:
+        raise InvalidTopology(f"{what}: port {port!r} is not an integer in 0..65535")
 
 
 def parse_topology(obj) -> TopologySpec:

@@ -66,6 +66,34 @@ class TestValidate:
         assert run_cli("validate", "--topology", str(path)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("rename", [("hosts", 0, "name", "h\ud800"),
+                                        ("switches", 2, "id", "s\udc00")],
+                             ids=["host-name", "switch-id"])
+    def test_lone_surrogate_name_exits_two(self, tmp_path, capsys, command, rename):
+        """JSON can spell a lone surrogate, which no summary line or UTF-8
+        file can hold; the renamed host sends, so `run` prints its name."""
+        section, index, field, name = rename
+        with open(default_topology_path()) as f:
+            topo = json.load(f)
+        old = topo[section][index][field]
+        topo[section][index][field] = name
+        for host in topo["hosts"]:
+            host["switch"] = name if host["switch"] == old else host["switch"]
+        topo["links"] = [[name if end == old else end for end in link]
+                         for link in topo["links"]]
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(topo))
+        argv = ["--topology", str(path)]
+        if command == "run":
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps({"events": [
+                {"time": 0, "host": topo["hosts"][0]["name"], "action": "send",
+                 "dst": "h3", "dport": 80}]}))
+            argv += ["--scenario", str(scenario), "--out", str(tmp_path / "r.json")]
+        assert run_cli(command, *argv) == 2
+        assert "is not valid Unicode text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, text", [
         ("ip", "10.0.1.+1"), ("ip", " 10.0.1.1"), ("ip", "10.0.1.\u0661"),
         ("ip", "010.0.1.1"), ("ip", "10.0.1_0.1"),
@@ -286,14 +314,38 @@ class TestScenarioInputErrors:
         ({"payload": "\ud800"}, "payload must be valid Unicode text"),
         ({"repeat": "2"}, "repeat must be a non-negative integer"),
         ({"repeat": -1}, "repeat must be a non-negative integer"),
+        ({"repeat": 0, "dst": "h9"}, "unknown host 'h9'"),
     ], ids=["ttl-300", "dport-text", "dport-bool", "sport-70000", "unknown-flag",
             "payload-int", "payload-too-long", "payload-surrogate", "repeat-text",
-            "repeat-negative"])
+            "repeat-negative", "repeat-0-unknown-dst"])
     def test_bad_send_field_exits_two(self, tmp_path, capsys, fields, message):
         send = {"time": 0, "host": "h1", "action": "send", "dst": "h3", "dport": 80}
         code = run_scenario_obj(tmp_path, {"events": [{**send, **fields}]})
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["no-store-file", "seeded-store"])
+    def test_later_unknown_host_runs_nothing_and_leaves_the_store(
+            self, tmp_path, capsys, seeded):
+        """h2's first punt would be allowed and stored, but a later event
+        names no host, so the run must stop before tick 0."""
+        store = tmp_path / "store.json"
+        if seeded:
+            store.write_text(json.dumps({"10.0.1.3": {"knocks": [2222, 3333, 4444],
+                                                      "service": 22}}))
+            before = store.read_bytes()
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"acl": data_file("acl_knock.json"), "events": [
+            {"time": 0, "host": "h2", "action": "send", "dst": "h7", "dport": 22},
+            {"time": 10, "host": "h2", "action": "send", "dst": "h9", "dport": 22}]}))
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", str(scenario), "--store", str(store))
+        assert code == 2
+        assert "unknown host 'h9'" in capsys.readouterr().err
+        if seeded:
+            assert store.read_bytes() == before
+        else:
+            assert not store.exists()
 
     @pytest.mark.parametrize("rule", [
         {"switch": "s1", "table": "no_such_table", "key": ["10.0.1.1"],

@@ -173,6 +173,26 @@ class TestScenarioErrors:
                     {"time": 0, "host": "h1", "action": "send",
                      "dst": "h3", "dport": 80, "src_ip_of": "h9"}]})
 
+    def test_later_unknown_host_stops_the_run_before_tick_zero(self, default_topology):
+        store = SequenceStore()
+        with pytest.raises(InvalidScenario, match="unknown host 'h9'"):
+            simulate(default_topology, {
+                "name": "x", "seed": 1, "events": [
+                    {"time": 0, "host": "h2", "action": "send", "dst": "h7",
+                     "dport": 22},
+                    {"time": 10, "host": "h2", "action": "knock", "dst": "h7",
+                     "sequence_of": "h9"}]},
+                acl_entries=[{"ip": "10.0.1.2", "mac": "02:00:00:00:01:02",
+                              "verdict": "allow"}], store=store)
+        assert store.sequences == {}
+
+    def test_unknown_host_in_a_send_of_no_packets(self, default_topology):
+        with pytest.raises(InvalidScenario, match="unknown host 'h9'"):
+            simulate(default_topology, {
+                "name": "x", "seed": 1, "events": [
+                    {"time": 0, "host": "h1", "action": "send", "dst": "h3",
+                     "dport": 80, "src_mac_of": "h9", "repeat": 0}]})
+
     def test_knock_without_stored_sequence(self, default_topology):
         with pytest.raises(NoSequence):
             simulate(default_topology, {

@@ -175,8 +175,13 @@ class TestValidation:
         (("hosts", 0, "port"), 1.0),
         (("links", 0, 1), "2"),
         (("links", 0, 3), 2.0),
+        (("switches", 0, "ports"), [-1, 1, 2]),
+        (("switches", 0, "cpu_port"), 65536),
+        (("switches", 0, "ports"), [1, 2, 2**70]),
+        (("hosts", 0, "port"), 2**70),
     ], ids=["ports-str", "ports-bool", "internal-bool", "cpu-str",
-            "host-bool", "host-float", "link-a-str", "link-b-float"])
+            "host-bool", "host-float", "link-a-str", "link-b-float",
+            "ports-negative", "cpu-65536", "ports-2**70", "host-2**70"])
     def test_rejects_non_integer_port(self, broken, path, value):
         *parents, last = path
         target = broken
