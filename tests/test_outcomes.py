@@ -4,18 +4,22 @@ The bundled scenarios and the benchmark's workloads pin the common paths;
 these small scenarios pin the rarer ones a rewrite of the simulator or the
 switch could change: a repeat with a gap and a fixed source port, knocks
 in a permuted order, with another host's sequence, from a spoofed address,
-without the service probe and as a bare service probe, a TTL that runs out,
-a route that drops, and an egress port with nothing attached. A changed
-digest in fixtures/outcome_digests.json is a behaviour change, to be
-explained or reverted, never re-recorded to make the test pass.
+without the service probe and as a bare service probe, a restart at stage
+1 and 2, a source with no knock state, a displaced knock rule, a TTL that
+runs out, a route that drops, and an egress port with nothing attached. A
+changed digest in fixtures/outcome_digests.json is a behaviour change, to
+be explained or reverted, never re-recorded to make the test pass.
 """
 
 import hashlib
 import json
+import linecache
+import sys
 
 import pytest
 
 from conftest import fixture_json
+from p4filter import knocking, switch
 from p4filter.bundled import default_topology_path
 from p4filter.controller import parse_acl, parse_store
 from p4filter.scenario import parse_scenario
@@ -31,6 +35,17 @@ H2_SEQUENCE = {"10.0.1.2": {"knocks": [1111, 2222, 3333], "service": 22}}
 ADMIT_H2 = {"time": 0, "host": "h2", "action": "send", "dst": "h7", "dport": 22}
 S3_TO_PORT_4 = {"switch": "s3", "table": "ipv4_forward", "key": ["10.0.5.1"],
                 "action": "Forward", "params": {"port": 4}}
+
+
+def on_s6(table, *key, action="SetAllowed", **params):
+    return {"switch": "s6", "table": table, "key": list(key), "action": action,
+            "params": params}
+
+
+# h2 passes s6's presence and stateless stages without a punt, so s6 has
+# no routes and no knock state for it
+ALLOW_H2_ON_S6 = [on_s6("present_table", "10.0.1.2"), on_s6("check_ip", "10.0.1.2"),
+                  on_s6("check_mac", "10.0.1.2", "02:00:00:00:01:02")]
 
 
 def send(time, host, dst, **fields):
@@ -70,6 +85,17 @@ CASES = {
         {"time": 30, "host": "h2", "action": "open_service", "dst": "h7"}], []),
     "preseeded_store_knock": ("default", ALLOW_H2, H2_SEQUENCE, [
         knock(0, "h2"), knock(10, "h2", spacing=3)], []),
+    "knock_restart_at_stages_one_and_two": ("default", ALLOW_H2, H2_SEQUENCE, [
+        ADMIT_H2, *(send(t, "h2", "h7", dport=dport) for t, dport in enumerate(
+            (1111, 1111, 2222, 1111, 2222, 3333, 22), start=10))], []),
+    "no_knock_state": ("default", [], {}, [send(0, "h2", "h7")], ALLOW_H2_ON_S6),
+    "knock_rule_displacement": ("default", [], {}, [
+        send(0, "h2", "h7", dport=2222), send(1, "h2", "h7", dport=22)],
+        ALLOW_H2_ON_S6 + [
+            on_s6("knock_rules", "10.0.1.2", port, pos=pos)
+            for pos, port in enumerate(("1111", "2222", "3333", "22"))]
+        # 2222 moves to position 0: 1111's rule goes and position 1 empties
+        + [on_s6("knock_rules", "10.0.1.2", "2222", pos=0)]),
     "ttl_one_and_zero": ("default", [], {}, [
         send(0, "h1", "h3", ttl=1), send(0, "h1", "h3", ttl=0),
         send(1, "h3", "h4", ttl=0), send(1, "h3", "h5", ttl=2)], []),
@@ -123,6 +149,57 @@ def test_unattached_egress_port_drops_after_forwarding():
 
 
 @pytest.mark.parametrize("name, reason", [
-    ("ttl_one_and_zero", "ttl expired"), ("no_route", "no route")])
+    ("ttl_one_and_zero", "ttl expired"), ("no_route", "no route"),
+    ("no_knock_state", "no knock state"), ("knock_rule_displacement", "no knock state")])
 def test_case_reaches_its_drop(name, reason):
     assert reason in {r["reason"] for r in run_case(name).trace}
+
+
+# Rare pipeline lines the cases above must keep running, as (module,
+# function, the line above, the line): the text, not the line number, so
+# an edit elsewhere in the file does not move them.
+OUTCOME_LINES = {
+    ("switch", "_egress_is_internal",
+     "if not hit or action.kind != tables.FORWARD:", "return False"),
+    ("switch", "process_packet", "if stage is None:",
+     'return self._stop(STAGE_KNOCKING, p, Verdict(DROPPED, "no knock state"))'),
+    ("switch", "process_packet", "if action.kind != tables.FORWARD:",
+     'return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "no route"))'),
+    ("switch", "process_packet", "except TtlExpired:",
+     'return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "ttl expired"))'),
+    ("switch", "apply_rule_install", "if displaced is not None:",
+     "table.delete((ip, displaced))"),
+    ("switch", "apply_rule_install", "else:", "self.knock_stages.pop(ip, None)"),
+    # the restart below stage 3, not the re-authentication from it
+    ("knocking", "knock_step", "if pos == 0:",
+     'return Verdict(CONSUMED, "knock consumed"), 1'),
+}
+
+
+def executed_lines(modules):
+    """(module, function, the line above, the line) for every line of
+    `modules` that running every case executes."""
+    names = {m.__file__: m.__name__.rpartition(".")[2] for m in modules}
+    seen = set()
+
+    def line_tracer(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_name, frame.f_lineno))
+        return line_tracer
+
+    def call_tracer(frame, event, arg):
+        return line_tracer if frame.f_code.co_filename in names else None
+
+    previous = sys.gettrace()
+    sys.settrace(call_tracer)
+    try:
+        for name in CASES:
+            run_case(name)
+    finally:
+        sys.settrace(previous)
+    return {(names[path], function, linecache.getline(path, n - 1).strip(),
+             linecache.getline(path, n).strip()) for path, function, n in seen}
+
+
+def test_cases_run_every_rare_outcome_line():
+    assert OUTCOME_LINES - executed_lines([switch, knocking]) == set()
