@@ -14,7 +14,7 @@ import sys
 
 from .controller import (MalformedAcl, MalformedStore, PersistenceFailure,
                          SequenceStore, load_acl, load_store)
-from .scenario import InvalidScenario, NoSequence, load_scenario
+from .scenario import COUNTERS, InvalidScenario, NoSequence, load_scenario
 from .sim import evaluate_expect, run_scenario
 from .topology import InvalidTopology, load_topology
 
@@ -79,12 +79,11 @@ def _cmd_run(args) -> int:
     for line in failures:
         print(f"expect failed: {line}", file=sys.stderr)
     summary = ", ".join(
-        f"{host}: " + "/".join(str(c[k]) for k in ("sent", "delivered", "dropped",
-                                                   "punted", "consumed"))
+        f"{host}: " + "/".join(str(c[k]) for k in COUNTERS)
         for host, c in report.hosts.items() if c["sent"]
     )
     print(f"{report.scenario}: {summary or 'no traffic'}")
-    print("hosts report sent/delivered/dropped/punted/consumed; "
+    print(f"hosts report {'/'.join(COUNTERS)}; "
           + ("FAIL" if failures else "all expectations hold"))
     return EXIT_EXPECT_FAILED if failures else EXIT_OK
 

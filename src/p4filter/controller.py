@@ -142,27 +142,26 @@ def load_store(path: str) -> SequenceStore:
     return parse_store(read_json(path, MalformedStore, "store", empty=True), path)
 
 
-def save_store(store: SequenceStore, path: Optional[str] = None) -> None:
+def save_store(store: SequenceStore) -> None:
     """Replace the store file atomically: the text goes to a temporary file
     in the same directory, is flushed to disk, then renamed over the
     target, so a crash mid-write leaves the old file whole."""
-    target = path if path is not None else store.path
-    if target is None:
+    if store.path is None:
         return   # in-memory store, nothing to persist
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
-                                   prefix=f".{os.path.basename(target)}.", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(store.path)),
+                                   prefix=f".{os.path.basename(store.path)}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(store.canonical_text())
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, target)
+        os.replace(tmp, store.path)
     except OSError as e:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        raise PersistenceFailure(f"cannot write store file {target}: {e}") from e
+        raise PersistenceFailure(f"cannot write store file {store.path}: {e}") from e
 
 
 def generate_sequence(rng: random.Random, ip: Ipv4Address) -> KnockSequence:

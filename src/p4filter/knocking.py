@@ -16,6 +16,10 @@ from .verdict import CONSUMED, DROPPED, FORWARDED, Verdict
 
 STAGE_AUTHENTICATED = 3
 POS_SERVICE = 3     # knock_rules position of the service port
+_AUTHENTICATED = Verdict(FORWARDED, "knock authenticated")
+_ABSORBED = Verdict(CONSUMED, "knock consumed")
+_KNOCK_DROP = Verdict(DROPPED, "knock drop")
+_WRONG_KNOCK = Verdict(DROPPED, "wrong knock")
 
 
 @dataclass(frozen=True)
@@ -51,15 +55,15 @@ def knock_step(stage: int, pos: int | None, pure_syn: bool) -> tuple[Verdict, in
     """
     if stage == STAGE_AUTHENTICATED:
         if pos == POS_SERVICE:
-            return Verdict(FORWARDED, "knock authenticated"), stage
+            return _AUTHENTICATED, stage
         if pure_syn and pos == 0:
-            return Verdict(CONSUMED, "knock consumed"), 1
-        return Verdict(DROPPED, "knock drop"), stage
+            return _ABSORBED, 1
+        return _KNOCK_DROP, stage
 
     if not pure_syn:
-        return Verdict(DROPPED, "knock drop"), stage
+        return _KNOCK_DROP, stage
     if pos == stage:
-        return Verdict(CONSUMED, "knock consumed"), stage + 1
+        return _ABSORBED, stage + 1
     if pos == 0:
-        return Verdict(CONSUMED, "knock consumed"), 1
-    return Verdict(DROPPED, "wrong knock"), 0
+        return _ABSORBED, 1
+    return _WRONG_KNOCK, 0

@@ -6,7 +6,8 @@ packet a switch sends out of a host's port is counted delivered then. The
 event queue orders by (time, insertion sequence), which gives FIFO delivery
 per link and full run-to-run determinism. Punts are resolved synchronously:
 the controller's rule installs land on the punting switch within the same
-tick, before any later event is processed.
+tick, before any later event is processed. Each switch pass returns its
+verdict; the simulator writes its trace record and counts it for the sender.
 """
 
 from __future__ import annotations
@@ -17,15 +18,19 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .controller import AclEntry, Controller, SequenceStore
+from .controller import ALLOW, AclEntry, Controller, SequenceStore
 from .packet import SYN, Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
 from .render import render
-from .scenario import COUNTERS, InvalidScenario, ScenarioSpec, SendAction, knock_client
+from .scenario import (COUNTERS, InvalidScenario, NoSequence, ScenarioSpec, SendAction,
+                       knock_client)
 from .tables import (FORWARD, Action, Rule, SchemaMismatch, TableError, KIND_IPV4,
                      KIND_MAC)
 from .switch import knock_pos
 from .topology import TopologySpec, build_network, compute_routes
-from .verdict import CONSUMED, DROPPED
+from .verdict import CONSUMED, DROPPED, FORWARDED, PUNTED
+
+# the host counter a packet's trip counts toward when it ends at a switch
+_COUNTER_OF = {PUNTED: "punted", DROPPED: "dropped", CONSUMED: "consumed"}
 
 
 class TimeReversal(Exception):
@@ -84,7 +89,7 @@ class Simulator:
         self.seed = seed
         self._trace: list[dict] = []
         routes = compute_routes(topo)
-        self.network = build_network(topo, self._trace, routes)
+        self.network = build_network(topo, routes)
         self.store = store
         self.controller = Controller(
             acl=acl,
@@ -130,11 +135,8 @@ class Simulator:
             sport, flags, ttl, payload = (
                 action.sport, action.flag_bits, action.ttl, action.payload)
         else:
-            # default to the spoofed identity's sequence when spoofing,
-            # else the sender's own
-            owner = action.sequence_of or action.src_ip_of or sender
             probes = knock_client(
-                self.hosts[owner].ip, self.store, order=action.order,
+                self._knock_owner(sender, action), self.store, order=action.order,
                 spacing=action.spacing, include_service=action.include_service)
             sport, flags, ttl, payload = None, SYN, 64, b""
         host, target = self.hosts[sender], self.hosts[action.dst]
@@ -148,6 +150,10 @@ class Simulator:
                 dport=dport, flags=flags, ttl=ttl, payload=payload)
             stats["sent"] += 1
             self._push(time + offset, ("packet", sender, host.switch, host.port, packet))
+
+    def _knock_owner(self, sender: str, action) -> Ipv4Address:
+        """The IP whose sequence a knock replays: a spoofed identity's, else the sender's."""
+        return self.hosts[action.sequence_of or action.src_ip_of or sender].ip
 
     # -- preinstall --------------------------------------------------------
 
@@ -191,12 +197,18 @@ class Simulator:
         for host in scenario.expect.get("hosts", {}):
             if host not in self.hosts:
                 raise InvalidScenario(f"expect references unknown host {host!r}")
-        for event in scenario.events:
-            action = event.action
-            for name in (event.host, action.dst, action.src_ip_of, action.src_mac_of,
+        for _, sender, action in scenario.events:
+            for name in (sender, action.dst, action.src_ip_of, action.src_mac_of,
                          getattr(action, "sequence_of", None)):
                 if name is not None and name not in self.hosts:
                     raise InvalidScenario(f"unknown host {name!r}")
+            # only an allowed punt stores a sequence, so a knock whose owner
+            # has neither a stored sequence nor an allow entry is never sent
+            if not isinstance(action, SendAction):
+                owner = self._knock_owner(sender, action)
+                entry = self.controller.acl.get(owner)
+                if not (self.store.get(owner) or entry and entry.verdict == ALLOW):
+                    raise NoSequence(f"no stored sequence for {owner}")
         self._apply_preinstall(scenario)
         for event in scenario.events:
             self._push(event.time, ("event", event.host, event.action))
@@ -216,32 +228,26 @@ class Simulator:
     def _process_at_switch(self, time: int, sender: str, switch_id: str,
                            ingress_port: int, packet: Packet) -> None:
         switch = self.network[switch_id]
-        switch.now = time
-        out = switch.process_packet(ingress_port, packet)
-        stats = self._stats[sender]
-
-        if out is None:
-            verdict = self._trace[-1]["verdict"]
-            if verdict == DROPPED:
-                stats["dropped"] += 1
-            elif verdict == CONSUMED:
-                stats["consumed"] += 1
-            return
-
-        if out.egress_port == switch.config.cpu_port:
-            installs = self.controller.handle_packet_in(
-                switch_id, serialize_packet(out.packet))
-            switch.apply_rule_install(installs)
-            stats["punted"] += 1
-            return
-        egress = (switch_id, out.egress_port)
-        peer = self.links.get(egress)
-        if peer is not None:
-            self._push(time + 1, ("packet", sender, *peer, out.packet))
-        elif egress in self.host_ports:
-            stats["delivered"] += 1
-        else:   # a port with nothing attached
-            stats["dropped"] += 1
+        stage, (kind, reason), out = switch.process_packet(ingress_port, packet)
+        self._trace.append({
+            "time": time, "switch": switch_id, "verdict": kind, "stage": stage,
+            "src": str(packet.ip.src_ip), "dst": str(packet.ip.dst_ip),
+            "sport": packet.tcp.src_port, "dport": packet.tcp.dst_port, "reason": reason,
+        })
+        if kind == FORWARDED:
+            egress = (switch_id, out.egress_port)
+            peer = self.links.get(egress)
+            if peer is not None:
+                self._push(time + 1, ("packet", sender, *peer, out.packet))
+                return
+            # out of a host's port, or of one with nothing attached
+            counter = "delivered" if egress in self.host_ports else "dropped"
+        else:
+            if kind == PUNTED:
+                switch.apply_rule_install(self.controller.handle_packet_in(
+                    switch_id, serialize_packet(out.packet)))
+            counter = _COUNTER_OF[kind]
+        self._stats[sender][counter] += 1
 
     # -- reporting ---------------------------------------------------------
 

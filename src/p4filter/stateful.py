@@ -10,6 +10,9 @@ from .verdict import DROPPED, FORWARDED, Verdict
 
 INTERNAL = 0
 EXTERNAL = 1
+_INSIDE = Verdict(FORWARDED, "stateful forward")
+_REPLY = Verdict(FORWARDED, "stateful reply")
+_UNSOLICITED = Verdict(DROPPED, "stateful drop")
 
 
 def classify_direction(ingress_port: int, check_ports: Table) -> int:
@@ -28,7 +31,7 @@ def stateful_process(p: Packet, direction: int, pair: BloomPair) -> Verdict:
     if direction == INTERNAL:
         if p.tcp.is_pure_syn:
             pair.insert(flow_key(p, INTERNAL))
-        return Verdict(FORWARDED, "stateful forward")
+        return _INSIDE
     if pair.contains(flow_key(p, EXTERNAL)):
-        return Verdict(FORWARDED, "stateful reply")
-    return Verdict(DROPPED, "stateful drop")
+        return _REPLY
+    return _UNSOLICITED

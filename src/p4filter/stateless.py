@@ -8,6 +8,11 @@ from .packet import Packet
 from .tables import Table
 from .verdict import DROPPED, FORWARDED, PUNTED, Verdict
 
+_IP_DROP = Verdict(DROPPED, "check_ip drop")
+_IP_PUNT = Verdict(PUNTED, "check_ip punt")
+_ALLOW = Verdict(FORWARDED, "stateless allow")
+_MAC_DROP = Verdict(DROPPED, "check_mac drop")
+
 
 def stateless_check(p: Packet, check_ip: Table, check_mac: Table) -> Verdict:
     """Two-step source check.
@@ -18,11 +23,11 @@ def stateless_check(p: Packet, check_ip: Table, check_mac: Table) -> Verdict:
     """
     ip_action, ip_hit = check_ip.lookup((p.ip.src_ip,))
     if ip_action.kind == tables.DROP:
-        return Verdict(DROPPED, "check_ip drop")
+        return _IP_DROP
     if not ip_hit or ip_action.kind == tables.SEND_TO_CONTROLLER:
-        return Verdict(PUNTED, "check_ip punt")
+        return _IP_PUNT
 
     mac_action, mac_hit = check_mac.lookup((p.ip.src_ip, p.eth.src_mac))
     if mac_hit and mac_action.kind == tables.SET_ALLOWED:
-        return Verdict(FORWARDED, "stateless allow")
-    return Verdict(DROPPED, "check_mac drop")
+        return _ALLOW
+    return _MAC_DROP

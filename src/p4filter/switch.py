@@ -4,14 +4,15 @@ tables, plus rule installation from the controller.
 Stage order is presence check, stateless firewall, stateful firewall, port
 knocking, IPv4 forwarding. Filter stages run only on switches configured
 with the matching feature, so a plain forwarder is just stages 1 (as a
-no-op) and 5. Every processed packet appends exactly one terminal event to
-the switch's log.
+no-op) and 5. A pass returns how it ended: the stage that ended it, the
+verdict, and the packet out when one leaves. The switch keeps no clock and
+no log; whoever runs it records the pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import stateful, stateless, tables
 from .bloom import DEFAULT_M, BloomPair
@@ -27,12 +28,20 @@ FEAT_STATEFUL = "Stateful"
 FEAT_KNOCKING = "Knocking"
 FEATURES = {FEAT_STATELESS, FEAT_STATEFUL, FEAT_KNOCKING}
 
-# Pipeline stage names used in event records
+# Pipeline stage names used in trace records
 STAGE_PRESENT = "present"
 STAGE_STATELESS = "stateless"
 STAGE_STATEFUL = "stateful"
 STAGE_KNOCKING = "knocking"
 STAGE_FORWARD = "forward"
+
+# the switch's own verdicts, one object each for every pass
+_PRESENT_PUNT = Verdict(PUNTED, "present_table punt")
+_PRESENT_DROP = Verdict(DROPPED, "present_table drop")
+_NO_KNOCK_STATE = Verdict(DROPPED, "no knock state")
+_NO_ROUTE = Verdict(DROPPED, "no route")
+_TTL_EXPIRED = Verdict(DROPPED, "ttl expired")
+_ROUTED = Verdict(FORWARDED, "forwarded")
 
 
 def knock_pos(action: tables.Action) -> int:
@@ -75,18 +84,14 @@ class SwitchConfig:
 
 
 class P4Switch:
-    """One switch: tables, flow filters, knocking state, and an event log.
+    """One switch: tables, flow filters and knocking state.
 
     All mutation happens through process_packet and apply_rule_install,
-    called sequentially by the owning event loop. `now` is stamped by that
-    loop before each call so event records carry simulation time. The
-    switches of one network share a single event log, passed in here.
+    called sequentially by the owning event loop.
     """
 
-    def __init__(self, config: SwitchConfig, event_log: Optional[list] = None):
+    def __init__(self, config: SwitchConfig):
         self.config = config
-        self.now = 0
-        self.event_log: list[dict] = [] if event_log is None else event_log
         self.blooms = BloomPair.sized(DEFAULT_M)
         # stage register; each source's knock_rules ports, by position
         self.knock_stages: dict[Ipv4Address, int] = {}
@@ -113,30 +118,7 @@ class P4Switch:
             self.present_table, self.check_ip, self.check_mac, self.check_ports,
             self.knock_rules, self.ipv4_forward)}
 
-    # -- event log ---------------------------------------------------------
-
-    def _log(self, verdict: str, stage: str, p: Packet, reason: str) -> None:
-        self.event_log.append({
-            "time": self.now,
-            "switch": self.config.switch_id,
-            "verdict": verdict,
-            "stage": stage,
-            "src": str(p.ip.src_ip),
-            "dst": str(p.ip.dst_ip),
-            "sport": p.tcp.src_port,
-            "dport": p.tcp.dst_port,
-            "reason": reason,
-        })
-
     # -- pipeline ----------------------------------------------------------
-
-    def _stop(self, stage: str, p: Packet, verdict: Verdict) -> Optional[PacketOut]:
-        """End the packet's trip at `stage`; a punt leaves through the CPU
-        port."""
-        self._log(verdict.kind, stage, p, verdict.reason)
-        if verdict.kind == PUNTED:
-            return PacketOut(self.config.cpu_port, p)
-        return None
 
     def _egress_is_internal(self, dst_ip: Ipv4Address) -> bool:
         action, hit = self.ipv4_forward.lookup((dst_ip,))
@@ -145,23 +127,25 @@ class P4Switch:
         _, internal = self.check_ports.lookup((action.param("port"),))
         return internal
 
-    def process_packet(self, ingress_port: int, p: Packet) -> Optional[PacketOut]:
-        """The packet's one output, or None when it is dropped or consumed
-        here; either way exactly one record is logged."""
+    def process_packet(self, ingress_port: int,
+                       p: Packet) -> tuple[str, Verdict, PacketOut | None]:
+        """(stage, verdict, out): where and how the pass ended, and the packet
+        leaving (routed with TTL decremented, or punted unchanged), if any."""
         if ingress_port not in self.config.ports:
             raise UnknownPort(f"{self.config.switch_id}: no port {ingress_port}")
         # 1. presence check on the source; SetAllowed / NoAction continue
         action, _ = self.present_table.lookup((p.ip.src_ip,))
         if action.kind == tables.SEND_TO_CONTROLLER:
-            return self._stop(STAGE_PRESENT, p, Verdict(PUNTED, "present_table punt"))
+            return STAGE_PRESENT, _PRESENT_PUNT, PacketOut(self.config.cpu_port, p)
         if action.kind == tables.DROP:
-            return self._stop(STAGE_PRESENT, p, Verdict(DROPPED, "present_table drop"))
+            return STAGE_PRESENT, _PRESENT_DROP, None
 
         # 2. stateless firewall
         if self._stateless:
             verdict = stateless.stateless_check(p, self.check_ip, self.check_mac)
             if verdict.kind != FORWARDED:
-                return self._stop(STAGE_STATELESS, p, verdict)
+                out = PacketOut(self.config.cpu_port, p) if verdict.kind == PUNTED else None
+                return STAGE_STATELESS, verdict, out
 
         # 3. stateful firewall; traffic staying inside the protected side
         #    never consults or grows the flow state
@@ -172,7 +156,7 @@ class P4Switch:
             if not bypass:
                 verdict = stateful.stateful_process(p, direction, self.blooms)
                 if verdict.kind != FORWARDED:
-                    return self._stop(STAGE_STATEFUL, p, verdict)
+                    return STAGE_STATEFUL, verdict, None
 
         # 4. port knocking: knock_rules gives the port's position (a miss
         #    gives NoAction, with none), the stage register the next one
@@ -180,23 +164,22 @@ class P4Switch:
             src = p.ip.src_ip
             stage = self.knock_stages.get(src)
             if stage is None:
-                return self._stop(STAGE_KNOCKING, p, Verdict(DROPPED, "no knock state"))
+                return STAGE_KNOCKING, _NO_KNOCK_STATE, None
             action, _ = self.knock_rules.lookup((src, p.tcp.dst_port))
             verdict, self.knock_stages[src] = knock_step(
                 stage, action.param("pos"), p.tcp.is_pure_syn)
             if verdict.kind != FORWARDED:
-                return self._stop(STAGE_KNOCKING, p, verdict)
+                return STAGE_KNOCKING, verdict, None
 
         # 5. IPv4 forwarding
         action, _ = self.ipv4_forward.lookup((p.ip.dst_ip,))
         if action.kind != tables.FORWARD:
-            return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "no route"))
+            return STAGE_FORWARD, _NO_ROUTE, None
         try:
             out = decrement_ttl(p)
         except TtlExpired:
-            return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "ttl expired"))
-        self._log(FORWARDED, STAGE_FORWARD, p, "forwarded")
-        return PacketOut(action.param("port"), out)
+            return STAGE_FORWARD, _TTL_EXPIRED, None
+        return STAGE_FORWARD, _ROUTED, PacketOut(action.param("port"), out)
 
     # -- control plane -----------------------------------------------------
 

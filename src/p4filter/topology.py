@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bundled import read_json
 from .packet import Ipv4Address, MacAddr
-from .switch import FEAT_KNOCKING, P4Switch, SwitchConfig
+from .switch import CPU_PORT, FEAT_KNOCKING, P4Switch, SwitchConfig
 from .tables import Rule, forward
 
 
@@ -84,7 +84,7 @@ def parse_topology(obj) -> TopologySpec:
                 ports=tuple(item["ports"]),
                 features=frozenset(item.get("features", [])),
                 internal_ports=tuple(item.get("internal_ports", [])),
-                cpu_port=item.get("cpu_port", 55),
+                cpu_port=item.get("cpu_port", CPU_PORT),
             ))
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidTopology(f"bad switch entry {item!r}: {e}") from e
@@ -215,13 +215,13 @@ def compute_routes(spec: TopologySpec) -> dict[str, dict[Ipv4Address, int]]:
     return routes
 
 
-def build_network(spec: TopologySpec, trace: list,
+def build_network(spec: TopologySpec,
                   routes: dict[str, dict[Ipv4Address, int]]) -> dict[str, P4Switch]:
-    """Instantiate every switch, all logging into `trace`; non-knocking
-    switches get their `routes` (from `compute_routes`) as static rules."""
+    """Instantiate every switch; non-knocking switches get their `routes`
+    (from `compute_routes`) as static rules."""
     network: dict[str, P4Switch] = {}
     for config in spec.switches:
-        sw = P4Switch(config, trace)
+        sw = P4Switch(config)
         if FEAT_KNOCKING not in config.features:
             installs = [
                 ("ipv4_forward", Rule((ip,), forward(egress)))

@@ -347,6 +347,21 @@ class TestScenarioInputErrors:
         else:
             assert not store.exists()
 
+    def test_knock_that_can_never_be_sent_runs_nothing(self, tmp_path, capsys):
+        """h5 has no allow entry, so no punt can ever store its sequence:
+        the run stops before tick 0, before h2's admission writes the
+        store."""
+        store = tmp_path / "st.json"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"acl": data_file("acl_knock.json"), "events": [
+            {"time": 0, "host": "h2", "action": "send", "dst": "h7", "dport": 22},
+            {"time": 10, "host": "h5", "action": "knock", "dst": "h7"}]}))
+        code = run_cli("run", "--topology", default_topology_path(),
+                       "--scenario", str(scenario), "--store", str(store))
+        assert code == 2
+        assert "no stored sequence for 10.0.2.1" in capsys.readouterr().err
+        assert not store.exists()
+
     @pytest.mark.parametrize("rule", [
         {"switch": "s1", "table": "no_such_table", "key": ["10.0.1.1"],
          "action": "Drop"},

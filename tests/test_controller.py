@@ -161,7 +161,9 @@ class TestSequenceStore:
         ctl.save_store(store)
         loaded = ctl.load_store(path)
         assert loaded.sequences == store.sequences
-        ctl.save_store(loaded, str(tmp_path / "copy.json"))
+        copy = ctl.SequenceStore(str(tmp_path / "copy.json"))
+        copy.sequences = loaded.sequences
+        ctl.save_store(copy)
         assert ((tmp_path / "copy.json").read_bytes()
                 == (tmp_path / "store.json").read_bytes())
 
@@ -376,9 +378,10 @@ class TestIdempotenceAndStability:
         and keeps the source's knock stage."""
         c, sw = build_controller(tmp_path), knock_switch()
         sw.apply_rule_install(c.handle_packet_in("sw_knock", punt_bytes()))
-        assert sw.process_packet(1, make_packet(
+        _, _, out = sw.process_packet(1, make_packet(
             src_mac=H_MAC, dst_mac="02:00:00:00:05:01", src_ip=H_IP,
-            dst_ip="10.0.5.1", sport=40001, dport=42929)) is None   # first knock
+            dst_ip="10.0.5.1", sport=40001, dport=42929))
+        assert out is None   # first knock
         assert sw.knock_stages == {ip(H_IP): 1}
         installed = {name: dict(table.rules) for name, table in sw.tables.items()}
         for dport in (80, 443):

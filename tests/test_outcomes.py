@@ -162,17 +162,16 @@ OUTCOME_LINES = {
     ("switch", "_egress_is_internal",
      "if not hit or action.kind != tables.FORWARD:", "return False"),
     ("switch", "process_packet", "if stage is None:",
-     'return self._stop(STAGE_KNOCKING, p, Verdict(DROPPED, "no knock state"))'),
+     "return STAGE_KNOCKING, _NO_KNOCK_STATE, None"),
     ("switch", "process_packet", "if action.kind != tables.FORWARD:",
-     'return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "no route"))'),
+     "return STAGE_FORWARD, _NO_ROUTE, None"),
     ("switch", "process_packet", "except TtlExpired:",
-     'return self._stop(STAGE_FORWARD, p, Verdict(DROPPED, "ttl expired"))'),
+     "return STAGE_FORWARD, _TTL_EXPIRED, None"),
     ("switch", "apply_rule_install", "if displaced is not None:",
      "table.delete((ip, displaced))"),
     ("switch", "apply_rule_install", "else:", "self.knock_stages.pop(ip, None)"),
     # the restart below stage 3, not the re-authentication from it
-    ("knocking", "knock_step", "if pos == 0:",
-     'return Verdict(CONSUMED, "knock consumed"), 1'),
+    ("knocking", "knock_step", "if pos == 0:", "return _ABSORBED, 1"),
 }
 
 

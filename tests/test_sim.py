@@ -200,6 +200,33 @@ class TestScenarioErrors:
                     {"time": 0, "host": "h2", "action": "knock",
                      "dst": "h7"}]})
 
+    def test_knock_owner_never_allowed_stops_the_run_before_tick_zero(
+            self, default_topology):
+        store = SequenceStore()
+        with pytest.raises(NoSequence, match="no stored sequence for 10.0.2.1"):
+            simulate(default_topology, {
+                "name": "x", "seed": 1, "events": [
+                    {"time": 0, "host": "h2", "action": "send", "dst": "h7",
+                     "dport": 22},
+                    {"time": 10, "host": "h5", "action": "knock", "dst": "h7"}]},
+                acl_entries=[{"ip": "10.0.1.2", "verdict": "allow"}], store=store)
+        assert store.sequences == {}
+
+    def test_allowed_knock_owner_not_yet_admitted_fails_at_its_tick(
+            self, default_topology):
+        """An allow entry could still store h1's sequence during the run,
+        so its knock fails only when its tick comes, after h2's admission."""
+        store = SequenceStore()
+        with pytest.raises(NoSequence, match="no stored sequence for 10.0.1.1"):
+            simulate(default_topology, {
+                "name": "x", "seed": 1, "events": [
+                    {"time": 0, "host": "h2", "action": "send", "dst": "h7",
+                     "dport": 22},
+                    {"time": 10, "host": "h1", "action": "knock", "dst": "h7"}]},
+                acl_entries=[{"ip": "10.0.1.1", "verdict": "allow"},
+                             {"ip": "10.0.1.2", "verdict": "allow"}], store=store)
+        assert list(store.to_json_dict()) == ["10.0.1.2"]
+
     def test_preinstall_unknown_switch(self, default_topology):
         with pytest.raises(InvalidScenario, match="unknown switch"):
             simulate(default_topology, {

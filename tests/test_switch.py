@@ -3,11 +3,16 @@ import itertools
 import pytest
 
 from p4filter import tables as tb
+from p4filter.controller import SequenceStore
 from p4filter.packet import (Ipv4Address, MacAddr, make_packet,
                              parse_packet, serialize_packet, tcp_flags)
+from p4filter.scenario import parse_scenario
+from p4filter.sim import run_scenario
 from p4filter.switch import (CPU_PORT, FEAT_KNOCKING, FEAT_STATEFUL,
                              FEAT_STATELESS, P4Switch, SwitchConfig,
                              UnknownPort)
+from p4filter.topology import parse_topology
+from p4filter.verdict import CONSUMED, DROPPED, FORWARDED, PUNTED, Verdict
 
 A_IP, A_MAC = "10.0.9.1", "02:00:00:00:09:01"
 B_IP, B_MAC = "10.0.9.2", "02:00:00:00:09:02"
@@ -52,7 +57,7 @@ class TestPlainForwarder:
     def test_forwards_on_route(self):
         sw = switch()
         route(sw, D_IP, 3)
-        out = sw.process_packet(1, pkt(ttl=64))
+        _, _, out = sw.process_packet(1, pkt(ttl=64))
         assert out.egress_port == 3
         assert out.packet.ip.ttl == 63
 
@@ -60,7 +65,7 @@ class TestPlainForwarder:
         sw = switch()
         route(sw, D_IP, 3)
         original = parse_packet(serialize_packet(pkt(ttl=64)))
-        out = sw.process_packet(1, original)
+        _, _, out = sw.process_packet(1, original)
         forwarded = out.packet
         # the emitted header must checksum to zero when re-verified
         assert parse_packet(serialize_packet(forwarded)).ip.ttl == 63
@@ -68,16 +73,14 @@ class TestPlainForwarder:
 
     def test_no_route_drops(self):
         sw = switch()
-        assert sw.process_packet(1, pkt()) is None
-        assert sw.event_log[-1]["verdict"] == "Dropped"
-        assert sw.event_log[-1]["reason"] == "no route"
-        assert sw.event_log[-1]["stage"] == "forward"
+        assert sw.process_packet(1, pkt()) == (
+            "forward", Verdict(DROPPED, "no route"), None)
 
     def test_expired_ttl_drops(self):
         sw = switch()
         route(sw, D_IP, 3)
-        assert sw.process_packet(1, pkt(ttl=0)) is None
-        assert sw.event_log[-1]["reason"] == "ttl expired"
+        assert sw.process_packet(1, pkt(ttl=0)) == (
+            "forward", Verdict(DROPPED, "ttl expired"), None)
 
     def test_unknown_ingress_port_raises(self):
         sw = switch()
@@ -89,27 +92,22 @@ class TestPlainForwarder:
         sources are never sent to the controller from stage 1."""
         sw = switch()
         route(sw, D_IP, 3)
-        out = sw.process_packet(1, pkt())
+        _, verdict, out = sw.process_packet(1, pkt())
         assert out.egress_port == 3
-        assert all(e["verdict"] != "Punted" for e in sw.event_log)
+        assert verdict.kind != PUNTED
 
 
 class TestPuntOnce:
     def test_first_packet_punts_to_cpu(self):
         sw = switch(features=[FEAT_KNOCKING])
         p = pkt()
-        out = sw.process_packet(1, p)
-        assert out == (CPU_PORT, p)
-        assert sw.event_log[-1] == {
-            "time": 0, "switch": "s9", "verdict": "Punted",
-            "stage": "present", "src": A_IP, "dst": D_IP,
-            "sport": 40000, "dport": 80, "reason": "present_table punt",
-        }
+        assert sw.process_packet(1, p) == (
+            "present", Verdict(PUNTED, "present_table punt"), (CPU_PORT, p))
 
     def test_pending_is_per_source(self):
         sw = switch(features=[FEAT_KNOCKING])
         sw.process_packet(1, pkt(src_ip=A_IP))
-        out = sw.process_packet(2, pkt(src_ip=B_IP, src_mac=B_MAC))
+        _, _, out = sw.process_packet(2, pkt(src_ip=B_IP, src_mac=B_MAC))
         assert out is not None and out.egress_port == CPU_PORT
 
     def test_deny_rule_drops_without_punt(self):
@@ -117,37 +115,40 @@ class TestPuntOnce:
         sw.apply_rule_install([("present_table",
                                 tb.Rule((ip(A_IP),), tb.drop()))])
         for _ in range(3):
-            assert sw.process_packet(1, pkt()) is None
-            assert sw.event_log[-1]["reason"] == "present_table drop"
+            _, verdict, out = sw.process_packet(1, pkt())
+            assert out is None
+            assert verdict.reason == "present_table drop"
 
 
 class TestStatelessStage:
     def test_unknown_source_punts_from_check_ip(self):
         sw = switch(features=[FEAT_STATELESS])
-        out = sw.process_packet(1, pkt())
+        stage, verdict, out = sw.process_packet(1, pkt())
         assert out is not None and out.egress_port == CPU_PORT
-        assert sw.event_log[-1]["stage"] == "stateless"
-        assert sw.event_log[-1]["reason"] == "check_ip punt"
+        assert stage == "stateless"
+        assert verdict.reason == "check_ip punt"
 
     def test_denied_source_drops(self):
         sw = switch(features=[FEAT_STATELESS])
         sw.tables["check_ip"].insert(tb.Rule((ip(A_IP),), tb.drop()))
-        assert sw.process_packet(1, pkt()) is None
-        assert sw.event_log[-1]["reason"] == "check_ip drop"
+        _, verdict, out = sw.process_packet(1, pkt())
+        assert out is None
+        assert verdict.reason == "check_ip drop"
 
     def test_allowed_source_forwards(self):
         sw = switch(features=[FEAT_STATELESS])
         allow_stateless(sw, A_IP, A_MAC)
         route(sw, D_IP, 3)
-        out = sw.process_packet(1, pkt())
+        _, _, out = sw.process_packet(1, pkt())
         assert out.egress_port == 3
 
     def test_wrong_mac_drops(self):
         sw = switch(features=[FEAT_STATELESS])
         allow_stateless(sw, A_IP, A_MAC)
         route(sw, D_IP, 3)
-        assert sw.process_packet(1, pkt(src_mac=B_MAC)) is None
-        assert sw.event_log[-1]["reason"] == "check_mac drop"
+        _, verdict, out = sw.process_packet(1, pkt(src_mac=B_MAC))
+        assert out is None
+        assert verdict.reason == "check_mac drop"
 
 
 class TestStatefulStage:
@@ -163,16 +164,17 @@ class TestStatefulStage:
         reply = make_packet(src_mac=D_MAC, dst_mac=A_MAC, src_ip=D_IP,
                             dst_ip=A_IP, sport=80, dport=40000,
                             flags=tcp_flags("SYN", "ACK"))
-        assert sw.process_packet(3, reply) is None
-        assert sw.event_log[-1]["reason"] == "stateful drop"
+        _, verdict, out = sw.process_packet(3, reply)
+        assert out is None
+        assert verdict.reason == "stateful drop"
         sw.process_packet(1, pkt())                      # opens the flow
-        out = sw.process_packet(3, reply)
+        _, _, out = sw.process_packet(3, reply)
         assert out is not None and out.egress_port == 1
 
     def test_internal_to_internal_bypasses_flow_state(self):
         sw = self.setup_switch()
         before = (sw.blooms.f1.bits, sw.blooms.f2.bits)
-        out = sw.process_packet(1, pkt(dst_ip=B_IP))
+        _, _, out = sw.process_packet(1, pkt(dst_ip=B_IP))
         assert out is not None and out.egress_port == 2
         assert (sw.blooms.f1.bits, sw.blooms.f2.bits) == before
 
@@ -185,9 +187,9 @@ class TestStatefulStage:
         """A SYN toward a destination with no route still registers (the
         bypass applies only to traffic provably staying internal)."""
         sw = self.setup_switch()
-        sw.process_packet(1, pkt(dst_ip="10.0.9.50"))
+        _, verdict, _ = sw.process_packet(1, pkt(dst_ip="10.0.9.50"))
         assert sw.blooms.f1.popcount() == 1
-        assert sw.event_log[-1]["reason"] == "no route"
+        assert verdict.reason == "no route"
 
 
 class TestKnockingStage:
@@ -202,27 +204,30 @@ class TestKnockingStage:
     def test_full_knock_then_service(self):
         sw = self.authorized()
         for dport in (2222, 3333, 4444):
-            assert sw.process_packet(1, pkt(dport=dport)) is None
-            assert sw.event_log[-1]["verdict"] == "Consumed"
-        out = sw.process_packet(1, pkt(dport=80))
+            _, verdict, out = sw.process_packet(1, pkt(dport=dport))
+            assert out is None
+            assert verdict.kind == CONSUMED
+        stage, verdict, out = sw.process_packet(1, pkt(dport=80))
         assert out is not None and out.egress_port == 3
-        # authenticated service traffic terminal-logs at the forward stage
-        # like any other forwarded packet; knocking logs only absorb/drop
-        assert sw.event_log[-1]["stage"] == "forward"
-        assert sw.event_log[-1]["reason"] == "forwarded"
+        # authenticated service traffic ends its pass at the forward stage
+        # like any other forwarded packet; knocking ends one only to
+        # absorb or drop
+        assert stage == "forward"
+        assert verdict.reason == "forwarded"
 
     def test_present_without_knock_rules_drops(self):
         sw = switch(features=[FEAT_KNOCKING])
         sw.apply_rule_install([("present_table",
                                 tb.Rule((ip(A_IP),), tb.set_allowed()))])
-        assert sw.process_packet(1, pkt(dport=80)) is None
-        assert sw.event_log[-1]["reason"] == "no knock state"
+        _, verdict, out = sw.process_packet(1, pkt(dport=80))
+        assert out is None
+        assert verdict.reason == "no knock state"
 
     def test_wrong_knock_logged(self):
         sw = self.authorized()
         sw.process_packet(1, pkt(dport=2222))
-        sw.process_packet(1, pkt(dport=4444))
-        assert sw.event_log[-1]["reason"] == "wrong knock"
+        _, verdict, _ = sw.process_packet(1, pkt(dport=4444))
+        assert verdict.reason == "wrong knock"
 
 
 def knock_positions(sw):
@@ -256,8 +261,9 @@ class TestKnockStateAssembly:
         assert knock_positions(sw) == {
             (A_IP, 5555): 0, (A_IP, 6666): 1, (A_IP, 7777): 2, (A_IP, 80): 3}
         for dport in (2222, 3333):
-            assert sw.process_packet(1, pkt(dport=dport)) is None
-            assert sw.event_log[-1]["reason"] == "wrong knock"
+            _, verdict, out = sw.process_packet(1, pkt(dport=dport))
+            assert out is None
+            assert verdict.reason == "wrong knock"
             assert sw.knock_stages[ip(A_IP)] == 0
 
     def test_swapped_positions_keep_one_rule_per_position(self):
@@ -268,7 +274,8 @@ class TestKnockStateAssembly:
         assert sw.knock_stages[ip(A_IP)] == 0
         for dport in (3333, 2222, 4444):
             sw.process_packet(1, pkt(dport=dport))
-        assert sw.process_packet(1, pkt(dport=80)).egress_port == 3
+        _, _, out = sw.process_packet(1, pkt(dport=80))
+        assert out.egress_port == 3
 
     def test_moving_a_port_displaces_the_rule_at_its_new_position(self):
         sw = self.progressed()
@@ -278,8 +285,9 @@ class TestKnockStateAssembly:
         assert knock_positions(sw) == {
             (A_IP, 3333): 0, (A_IP, 4444): 2, (A_IP, 80): 3}
         assert ip(A_IP) not in sw.knock_stages
-        assert sw.process_packet(1, pkt(dport=3333)) is None
-        assert sw.event_log[-1]["reason"] == "no knock state"
+        _, verdict, out = sw.process_packet(1, pkt(dport=3333))
+        assert out is None
+        assert verdict.reason == "no knock state"
 
     def test_knock_rule_without_pos_rejected(self):
         sw = switch(features=[FEAT_KNOCKING])
@@ -311,27 +319,41 @@ class TestKnockStateAssembly:
         return sw
 
 
+def trace_of(features, events):
+    """The run trace of `events` on s9 alone, with host a on port 1 and d
+    on port 3: the simulator's record of each switch pass."""
+    topo = parse_topology({
+        "switches": [{"id": "s9", "ports": [1, 2, 3], "features": list(features)}],
+        "hosts": [{"name": "a", "ip": A_IP, "mac": A_MAC, "switch": "s9", "port": 1},
+                  {"name": "d", "ip": D_IP, "mac": D_MAC, "switch": "s9", "port": 3}],
+        "links": []})
+    spec = parse_scenario({"events": [
+        {"time": time, "host": "a", "action": "send", "dst": "d", **fields}
+        for time, fields in events]})
+    return run_scenario(topo, spec, acl={}, store=SequenceStore()).trace
+
+
 class TestEventLog:
     def test_exactly_one_terminal_event_per_packet(self):
-        sw = switch(features=[FEAT_KNOCKING])
-        route(sw, D_IP, 3)
-        packets = [pkt(), pkt(sport=40001), pkt(src_ip=B_IP, src_mac=B_MAC)]
-        for n, p in enumerate(packets, start=1):
-            sw.process_packet(1, p)
-            assert len(sw.event_log) == n
+        # a's first packet punts; with no ACL entry the controller answers
+        # with a presence drop, which ends a's next two passes
+        trace = trace_of([FEAT_KNOCKING], [
+            (0, {"dport": 80}), (0, {"dport": 80, "sport": 40001}), (1, {"dport": 22})])
+        assert [(r["verdict"], r["dport"]) for r in trace] == [
+            (PUNTED, 80), (DROPPED, 80), (DROPPED, 22)]
 
     def test_records_carry_simulation_time(self):
-        sw = switch()
-        sw.now = 41
-        sw.process_packet(1, pkt())
-        assert sw.event_log[-1]["time"] == 41
+        trace = trace_of([], [(41, {"dport": 80})])
+        assert [(r["time"], r["verdict"]) for r in trace] == [(41, FORWARDED)]
 
     def test_record_field_set_is_fixed(self):
-        sw = switch(features=[FEAT_STATELESS])
-        sw.process_packet(1, pkt())
-        assert list(sw.event_log[-1]) == ["time", "switch", "verdict",
-                                          "stage", "src", "dst", "sport",
-                                          "dport", "reason"]
+        [record] = trace_of([FEAT_STATELESS], [(0, {"dport": 80})])
+        assert list(record) == ["time", "switch", "verdict", "stage", "src",
+                                "dst", "sport", "dport", "reason"]
+        assert record == {
+            "time": 0, "switch": "s9", "verdict": PUNTED, "stage": "stateless",
+            "src": A_IP, "dst": D_IP, "sport": 40000, "dport": 80,
+            "reason": "check_ip punt"}
 
 
 class TestConfigValidation:
@@ -380,19 +402,19 @@ class TestFeatureComposition:
         sw.apply_rule_install(installs)
         if FEAT_KNOCKING in subset:
             for dport in (2222, 3333, 4444):
-                out = sw.process_packet(1, pkt(dport=dport))
+                _, _, out = sw.process_packet(1, pkt(dport=dport))
                 assert out is None
         return sw
 
     def test_authorized_traffic_is_forwarded(self, subset):
         sw = self.build(subset)
-        out = sw.process_packet(1, pkt(dport=80))
+        _, _, out = sw.process_packet(1, pkt(dport=80))
         assert out.egress_port == 3
 
     def test_unknown_traffic_never_silently_forwarded(self, subset):
         sw = self.build(subset)
         stranger = pkt(src_ip=B_IP, src_mac=B_MAC, dport=80)
-        out = sw.process_packet(2, stranger)
+        _, _, out = sw.process_packet(2, stranger)
         if subset:
             assert out is None or out.egress_port == CPU_PORT
         else:

@@ -61,14 +61,14 @@ class TestDefaultTopology:
         freshly built network has no routes there, but full static routes
         everywhere else."""
         spec = load_topology(default_topology_path())
-        network = build_network(spec, [], compute_routes(spec))
+        network = build_network(spec, compute_routes(spec))
         assert len(network["s6"].tables["ipv4_forward"].rules) == 0
         for sid in ("s1", "s2", "s3", "s4", "s5"):
             assert len(network[sid].tables["ipv4_forward"].rules) == 7
 
     def test_internal_ports_prepopulated(self):
         spec = load_topology(default_topology_path())
-        network = build_network(spec, [], compute_routes(spec))
+        network = build_network(spec, compute_routes(spec))
         table = network["s1"].tables["check_ports"]
         for port, expect_hit in ((1, True), (2, True), (3, False)):
             action, hit = table.lookup((port,))
@@ -239,12 +239,12 @@ class TestMinimalNetworkEndToEnd:
     def test_one_switch_carries_traffic(self):
         from p4filter.packet import make_packet
         spec = parse_topology(minimal())
-        network = build_network(spec, [], compute_routes(spec))
+        network = build_network(spec, compute_routes(spec))
         sw = network["s1"]
         p = make_packet(src_mac="02:00:00:00:00:01",
                         dst_mac="02:00:00:00:00:02",
                         src_ip="10.0.0.1", dst_ip="10.0.0.2",
                         sport=1234, dport=80)
-        out = sw.process_packet(1, p)
+        _, _, out = sw.process_packet(1, p)
         assert out.egress_port == 2
         assert out.packet.ip.ttl == 63
