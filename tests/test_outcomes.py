@@ -37,8 +37,8 @@ S3_TO_PORT_4 = {"switch": "s3", "table": "ipv4_forward", "key": ["10.0.5.1"],
                 "action": "Forward", "params": {"port": 4}}
 
 
-def on_s6(table, *key, action="SetAllowed", **params):
-    return {"switch": "s6", "table": table, "key": list(key), "action": action,
+def on_s6(table, *key, **params):
+    return {"switch": "s6", "table": table, "key": list(key), "action": "SetAllowed",
             "params": params}
 
 
