@@ -1,27 +1,34 @@
-"""The run report's canonical text, rendered in one pass.
+"""The run report's canonical text, written into one list and joined once.
 
 `render(doc)` returns exactly `json.dumps(doc, sort_keys=True, indent=2)
 + "\\n"`. With `indent` set, CPython's json module leaves its C encoder
 and yields the text token by token from Python, holding every token of a
-multi-megabyte report in a list before the join. Here the two bulk
-shapes of a report, trace records and rule-dump entries, each fill one
-`%` template, every distinct string and rule `params` object is rendered
-once, and a small walk renders the rest. A record whose key set or exact
-value types differ from its template goes through the walk, and a value
-the walk does not know (`bool`, `None`, a float, a dict with non-string
-keys, a subclass) goes through `json.dumps` itself, so no input renders
-differently.
+multi-megabyte report in a list before the join. Here the whole document
+goes into one list of pieces, a trace record or rule-dump entry at a
+time, and one join makes the text, so no section is copied on the way.
+The two bulk shapes of a report each fill one `%` template: a trace
+record, straight from the simulator's row (`TraceRows`) or from a dict,
+and a rule-dump entry. Every distinct string and rule `params` object is
+rendered once, and a small walk writes the rest. A row or record whose
+key set or exact value types differ from its template goes through the
+walk, and a value the walk does not know (`bool`, `None`, a float, a dict
+with non-string keys, a subclass) goes through `json.dumps` itself, so no
+input renders differently.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
-# A trace record (P4Switch._log) as an item of the top-level "trace" list,
-# at indent 4; its keys in sorted order.
-_TRACE_KEYS = frozenset(
-    ("dport", "dst", "reason", "sport", "src", "stage", "switch", "time", "verdict"))
+# The fields of a trace row, in the order the simulator writes them.
+TRACE_FIELDS = (
+    "time", "switch", "verdict", "stage", "src", "dst", "sport", "dport", "reason")
+_TRACE_KEYS = frozenset(TRACE_FIELDS)
+
+# A trace record as an item of the top-level "trace" list, at indent 4;
+# its keys in sorted order.
 _TRACE_RECORD = (
     '{\n'
     '      "dport": %d,\n'
@@ -45,12 +52,40 @@ _RULE_ENTRY = (
     '        "params": %s,\n'
     '        "table": %s\n'
     '      }')
-# its "key", a non-empty list of strings, at indent 8
+# its "key", a non-empty list of strings, and its non-empty "params", at indent 8
 _RULE_KEY = '[\n          %s\n        ]'
-_RULE_KEY_SEP = ',\n          '
+_RULE_PARAMS = '{\n          %s\n        }'
+_RULE_SEP = ',\n          '
 
 _STR = frozenset((str,))
 _INT = frozenset((int,))
+
+
+class TraceRows(Sequence):
+    """The simulator's trace: a read-only view over its rows, one tuple of
+    `TRACE_FIELDS` per switch pass, that yields each record as a fresh
+    dict with the keys in that order."""
+
+    def __init__(self, rows: list[tuple]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [dict(zip(TRACE_FIELDS, row)) for row in self.rows[i]]
+        return dict(zip(TRACE_FIELDS, self.rows[i]))
+
+    def __iter__(self):
+        for row in self.rows:
+            yield dict(zip(TRACE_FIELDS, row))
+
+    def __eq__(self, other):
+        # so reports compare as they did when the trace was a list of dicts
+        if type(other) is TraceRows:
+            return self.rows == other.rows
+        return list(self) == other if type(other) is list else NotImplemented
 
 
 class _Strings(dict):
@@ -61,108 +96,137 @@ class _Strings(dict):
         return text
 
 
-def _wrap(open_: str, parts: list, indent: int, close: str) -> str:
-    if not parts:
-        return open_ + close
-    inner = "\n" + " " * (indent + 2)
-    return open_ + inner + ("," + inner).join(parts) + "\n" + " " * indent + close
-
-
 def _str_keyed(v) -> bool:
     return type(v) is dict and _STR.issuperset(map(type, v))
 
 
 class _Renderer:
-    """One render; the memos live as long as the render."""
+    """One render: the pieces of its text, and memos that live as long as
+    the render. Every method writes its value's text to `out`."""
 
     def __init__(self):
+        self.out: list[str] = []
         self.text = _Strings()
         # the text, at indent 8, of each distinct rule "params" object of
         # string keys and integer values; a report has a few dozen of them
         self.params: dict[tuple, str] = {}
 
-    def value(self, v, indent: int) -> str:
+    def value(self, v, indent: int) -> None:
         t = type(v)
         if t is str:
-            return self.text[v]
-        if t is int:
-            return repr(v)
-        if t is list:
-            return self.items(v, indent, self.value)
-        if _str_keyed(v):
-            return self.fields(v, indent, self.value)
-        return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + " " * indent)
+            self.out.append(self.text[v])
+        elif t is int:
+            self.out.append(repr(v))
+        elif t is list:
+            self.items(v, indent, self.value)
+        elif _str_keyed(v):
+            self.fields(v, indent, self.field)
+        else:
+            self.out.append(
+                json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + " " * indent))
 
-    def items(self, seq: list, indent: int, item) -> str:
-        return _wrap("[", [item(x, indent + 2) for x in seq], indent, "]")
+    def field(self, name: str, v, indent: int) -> None:
+        self.value(v, indent)
 
-    def fields(self, mapping: dict, indent: int, field) -> str:
-        text = self.text
-        return _wrap("{", [text[k] + ": " + field(mapping[k], indent + 2)
-                           for k in sorted(mapping)], indent, "}")
+    def items(self, seq, indent: int, item) -> None:
+        """A list, with `item(x, indent)` writing each member."""
+        if not seq:
+            self.out.append("[]")
+            return
+        inner = "\n" + " " * (indent + 2)
+        sep, comma = "[" + inner, "," + inner
+        for x in seq:
+            self.out.append(sep)
+            item(x, indent + 2)
+            sep = comma
+        self.out.append("\n" + " " * indent + "]")
+
+    def fields(self, mapping: dict, indent: int, field) -> None:
+        """An object, with `field(name, v, indent)` writing each value."""
+        if not mapping:
+            self.out.append("{}")
+            return
+        inner = "\n" + " " * (indent + 2)
+        sep, comma = "{" + inner, "," + inner
+        for k in sorted(mapping):
+            self.out.append(sep + self.text[k] + ": ")
+            field(k, mapping[k], indent + 2)
+            sep = comma
+        self.out.append("\n" + " " * indent + "}")
 
     # The templates hold their own indentation: `member` reaches trace
     # records at indent 4 and rule-dump entries at indent 6, as json.dumps does.
 
-    def trace_record(self, rec, indent: int) -> str:
+    def trace_row(self, row: tuple, indent: int) -> None:
+        time, switch, verdict, stage, src, dst, sport, dport, reason = row
+        if (type(dport) is int and type(sport) is int and type(time) is int
+                and type(dst) is str and type(reason) is str and type(src) is str
+                and type(stage) is str and type(switch) is str
+                and type(verdict) is str):
+            text = self.text
+            self.out.append(_TRACE_RECORD % (
+                dport, text[dst], text[reason], sport, text[src],
+                text[stage], text[switch], time, text[verdict]))
+        else:
+            self.value(dict(zip(TRACE_FIELDS, row)), indent)
+
+    def trace_record(self, rec, indent: int) -> None:
         if type(rec) is dict and rec.keys() == _TRACE_KEYS:
-            dport, sport, time = rec["dport"], rec["sport"], rec["time"]
-            dst, reason, src = rec["dst"], rec["reason"], rec["src"]
-            stage, switch, verdict = rec["stage"], rec["switch"], rec["verdict"]
-            if (type(dport) is int and type(sport) is int and type(time) is int
-                    and type(dst) is str and type(reason) is str and type(src) is str
-                    and type(stage) is str and type(switch) is str
-                    and type(verdict) is str):
-                text = self.text
-                return _TRACE_RECORD % (
-                    dport, text[dst], text[reason], sport, text[src],
-                    text[stage], text[switch], time, text[verdict])
-        return self.value(rec, indent)
+            self.trace_row(tuple(map(rec.__getitem__, TRACE_FIELDS)), indent)
+        else:
+            self.value(rec, indent)
 
-    def rule_entry(self, entry, indent: int) -> str:
+    def rule_entry(self, entry, indent: int) -> None:
         if type(entry) is dict and entry.keys() == _RULE_KEYS:
-            action, table = entry["action"], entry["table"]
-            if type(action) is str and type(table) is str:
+            action, key, table = entry["action"], entry["key"], entry["table"]
+            params = self.rule_params(entry["params"])
+            if (type(action) is str and type(table) is str and params is not None
+                    and type(key) is list and key and _STR.issuperset(map(type, key))):
                 text = self.text
-                return _RULE_ENTRY % (
-                    text[action], self.rule_key(entry["key"], indent + 2),
-                    self.rule_params(entry["params"], indent + 2), text[table])
-        return self.value(entry, indent)
+                self.out.append(_RULE_ENTRY % (
+                    text[action], _RULE_KEY % _RULE_SEP.join(map(text.__getitem__, key)),
+                    params, text[table]))
+                return
+        self.value(entry, indent)
 
-    def rule_key(self, key, indent: int) -> str:
-        if type(key) is list and key and _STR.issuperset(map(type, key)):
-            return _RULE_KEY % _RULE_KEY_SEP.join(map(self.text.__getitem__, key))
-        return self.value(key, indent)
-
-    def rule_params(self, params, indent: int) -> str:
+    def rule_params(self, params) -> str | None:
+        """The text of a "params" object of string keys and integer values;
+        None for any other value."""
         # exact types, so equal pairs render equal (True == 1, yet not as JSON)
-        if _str_keyed(params) and _INT.issuperset(map(type, params.values())):
-            pairs = tuple(params.items())
-            text = self.params.get(pairs)
-            if text is None:
-                text = self.params[pairs] = self.value(params, indent)
-            return text
-        return self.value(params, indent)
+        if not (_str_keyed(params) and _INT.issuperset(map(type, params.values()))):
+            return None
+        pairs = tuple(params.items())
+        text = self.params.get(pairs)
+        if text is None:
+            text = self.params[pairs] = (_RULE_PARAMS % _RULE_SEP.join(
+                "%s: %d" % (self.text[k], v) for k, v in sorted(pairs)) if pairs else "{}")
+        return text
 
-    def rule_list(self, entries, indent: int) -> str:
+    def rule_list(self, switch: str, entries, indent: int) -> None:
         if type(entries) is list:
-            return self.items(entries, indent, self.rule_entry)
-        return self.value(entries, indent)
+            self.items(entries, indent, self.rule_entry)
+        else:
+            self.value(entries, indent)
 
-    def member(self, name: str, v, indent: int) -> str:
+    def member(self, name: str, v, indent: int) -> None:
         """A top-level value; "trace" and "rules" hold the templated shapes."""
-        if name == "trace" and type(v) is list:
-            return self.items(v, indent, self.trace_record)
-        if name == "rules" and _str_keyed(v):
-            return self.fields(v, indent, self.rule_list)
-        return self.value(v, indent)
+        if name == "trace" and type(v) is TraceRows:
+            self.items(v.rows, indent, self.trace_row)
+        elif name == "trace" and type(v) is list:
+            self.items(v, indent, self.trace_record)
+        elif name == "rules" and _str_keyed(v):
+            self.fields(v, indent, self.rule_list)
+        else:
+            self.value(v, indent)
 
 
 def render(doc) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, in one pass."""
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, joined once; a
+    `TraceRows` as the top-level "trace" renders as its list of records."""
     r = _Renderer()
-    if not _str_keyed(doc):
-        return r.value(doc, 0) + "\n"
-    text = r.text
-    return _wrap("{", [text[k] + ": " + r.member(k, doc[k], 2) for k in sorted(doc)],
-                 0, "}\n")
+    if _str_keyed(doc):
+        r.fields(doc, 0, r.member)
+    else:
+        r.value(doc, 0)
+    r.out.append("\n")
+    return "".join(r.out)

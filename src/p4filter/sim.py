@@ -7,7 +7,8 @@ event queue orders by (time, insertion sequence), which gives FIFO delivery
 per link and full run-to-run determinism. Punts are resolved synchronously:
 the controller's rule installs land on the punting switch within the same
 tick, before any later event is processed. Each switch pass returns its
-verdict; the simulator writes its trace record and counts it for the sender.
+verdict; the simulator appends its trace row (`TraceRows`) and counts it
+for the sender.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 import heapq
 import random
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 from .controller import ALLOW, AclEntry, Controller, SequenceStore
 from .packet import SYN, Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
-from .render import render
+from .render import TraceRows, render
 from .scenario import (COUNTERS, InvalidScenario, NoSequence, ScenarioSpec, SendAction,
                        knock_client)
 from .tables import (FORWARD, Action, Rule, SchemaMismatch, TableError, KIND_IPV4,
@@ -47,19 +49,23 @@ class CountersNotConserved(Exception):
 class RunReport:
     scenario: str
     seed: int
-    trace: list
+    trace: Sequence     # the simulator's TraceRows; a list of records renders too
     hosts: dict
     rules: dict
     sequences: dict
     knock_stages: dict
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        doc = dict(vars(self))
+        if type(self.trace) is TraceRows:
+            doc["trace"] = list(self.trace)
+        return doc
 
     def canonical_text(self) -> str:
         """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)` plus
-        a newline, rendered in one pass (see `render`)."""
-        return render(self.to_json_dict())
+        a newline, rendered from the trace rows without building their
+        dicts (see `render`)."""
+        return render(vars(self))
 
     def conservation_holds(self) -> bool:
         return all(
@@ -87,7 +93,7 @@ class Simulator:
     def __init__(self, topo: TopologySpec, acl: dict[Ipv4Address, AclEntry],
                  store: SequenceStore, seed: int):
         self.seed = seed
-        self._trace: list[dict] = []
+        self._trace: list[tuple] = []
         routes = compute_routes(topo)
         self.network = build_network(topo, routes)
         self.store = store
@@ -229,11 +235,10 @@ class Simulator:
                            ingress_port: int, packet: Packet) -> None:
         switch = self.network[switch_id]
         stage, (kind, reason), out = switch.process_packet(ingress_port, packet)
-        self._trace.append({
-            "time": time, "switch": switch_id, "verdict": kind, "stage": stage,
-            "src": str(packet.ip.src_ip), "dst": str(packet.ip.dst_ip),
-            "sport": packet.tcp.src_port, "dport": packet.tcp.dst_port, "reason": reason,
-        })
+        _, ip, tcp, _ = packet
+        # one row per pass, its fields in render.TRACE_FIELDS order
+        self._trace.append((time, switch_id, kind, stage, str(ip.src_ip), str(ip.dst_ip),
+                            tcp.src_port, tcp.dst_port, reason))
         if kind == FORWARDED:
             egress = (switch_id, out.egress_port)
             peer = self.links.get(egress)
@@ -263,7 +268,7 @@ class Simulator:
         report = RunReport(
             scenario=scenario.name,
             seed=self.seed,
-            trace=list(self._trace),
+            trace=TraceRows(list(self._trace)),
             hosts={name: dict(c) for name, c in sorted(self._stats.items())},
             rules={sid: [row for _, table in sorted(self.network[sid].tables.items())
                          for row in table.dump()]

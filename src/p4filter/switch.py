@@ -133,8 +133,9 @@ class P4Switch:
         leaving (routed with TTL decremented, or punted unchanged), if any."""
         if ingress_port not in self.config.ports:
             raise UnknownPort(f"{self.config.switch_id}: no port {ingress_port}")
+        _, ip, tcp, _ = p
         # 1. presence check on the source; SetAllowed / NoAction continue
-        action, _ = self.present_table.lookup((p.ip.src_ip,))
+        action, _ = self.present_table.lookup((ip.src_ip,))
         if action.kind == tables.SEND_TO_CONTROLLER:
             return STAGE_PRESENT, _PRESENT_PUNT, PacketOut(self.config.cpu_port, p)
         if action.kind == tables.DROP:
@@ -152,7 +153,7 @@ class P4Switch:
         if self._stateful:
             direction = stateful.classify_direction(ingress_port, self.check_ports)
             bypass = (direction == stateful.INTERNAL
-                      and self._egress_is_internal(p.ip.dst_ip))
+                      and self._egress_is_internal(ip.dst_ip))
             if not bypass:
                 verdict = stateful.stateful_process(p, direction, self.blooms)
                 if verdict.kind != FORWARDED:
@@ -161,18 +162,18 @@ class P4Switch:
         # 4. port knocking: knock_rules gives the port's position (a miss
         #    gives NoAction, with none), the stage register the next one
         if self._knocking:
-            src = p.ip.src_ip
+            src = ip.src_ip
             stage = self.knock_stages.get(src)
             if stage is None:
                 return STAGE_KNOCKING, _NO_KNOCK_STATE, None
-            action, _ = self.knock_rules.lookup((src, p.tcp.dst_port))
+            action, _ = self.knock_rules.lookup((src, tcp.dst_port))
             verdict, self.knock_stages[src] = knock_step(
-                stage, action.param("pos"), p.tcp.is_pure_syn)
+                stage, action.param("pos"), tcp.is_pure_syn)
             if verdict.kind != FORWARDED:
                 return STAGE_KNOCKING, verdict, None
 
         # 5. IPv4 forwarding
-        action, _ = self.ipv4_forward.lookup((p.ip.dst_ip,))
+        action, _ = self.ipv4_forward.lookup((ip.dst_ip,))
         if action.kind != tables.FORWARD:
             return STAGE_FORWARD, _NO_ROUTE, None
         try:

@@ -6,11 +6,11 @@ import sys
 import pytest
 
 from p4filter.bundled import data_file, default_topology_path, scenario_path
-from p4filter.controller import SequenceStore, load_acl
+from p4filter.controller import SequenceStore, load_acl, parse_acl
 from p4filter.packet import make_packet
-from p4filter.scenario import load_scenario
+from p4filter.scenario import load_scenario, parse_scenario
 from p4filter.sim import Simulator
-from p4filter.topology import load_topology
+from p4filter.topology import load_topology, parse_topology
 from p4filter.verdict import CONSUMED, DROPPED, FORWARDED
 
 import knock_reference
@@ -77,3 +77,12 @@ def load_bench(name):
     sys.modules[spec.name] = module   # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def workload_report(name, size, seed=1):
+    """The report of one of the benchmark's workloads, generated at `size`."""
+    wl = load_bench("workloads").GENERATORS[name](seed, size)
+    spec = parse_scenario(json.loads(wl.scenario_text))
+    return Simulator(parse_topology(json.loads(wl.topology_text)),
+                     parse_acl(json.loads(wl.acl_text)), SequenceStore(),
+                     seed=spec.seed).run(spec)

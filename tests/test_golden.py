@@ -13,12 +13,8 @@ import os
 
 import pytest
 
-from conftest import BENCH, load_bench, run_bundled
+from conftest import BENCH, load_bench, run_bundled, workload_report
 from p4filter.bundled import SCENARIOS
-from p4filter.controller import SequenceStore, parse_acl
-from p4filter.scenario import parse_scenario
-from p4filter.sim import Simulator
-from p4filter.topology import parse_topology
 
 # The seed-1 report digests of the benchmark's workloads, at the sizes
 # bench/harness.py runs them.
@@ -52,11 +48,7 @@ def test_bundled_report_matches_golden_digest(name, golden, default_topology):
 @pytest.mark.parametrize("name, size", WORKLOAD_DIGESTS,
                          ids=[name for name, _ in WORKLOAD_DIGESTS])
 def test_workload_report_matches_recorded_digest(name, size):
-    wl = load_bench("workloads").GENERATORS[name](1, size)
-    spec = parse_scenario(json.loads(wl.scenario_text))
-    report = Simulator(parse_topology(json.loads(wl.topology_text)),
-                       parse_acl(json.loads(wl.acl_text)), SequenceStore(),
-                       seed=spec.seed).run(spec)
+    report = workload_report(name, size)
     digest = hashlib.sha256(report.canonical_text().encode()).hexdigest()
     assert digest == WORKLOAD_DIGESTS[name, size]
 

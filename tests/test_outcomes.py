@@ -155,6 +155,26 @@ def test_case_reaches_its_drop(name, reason):
     assert reason in {r["reason"] for r in run_case(name).trace}
 
 
+def test_identity_is_the_ip_and_mac_pair():
+    """The threat model's boundary: the data plane knows a host only by its
+    (IP, MAC), and the knock stage is keyed by source IP. So once h2 has
+    knocked, h3 forging h2's IP and MAC reaches h7's service port, while h4
+    forging h2's IP alone stops at s6's MAC binding."""
+    spec = parse_scenario({"name": "identity_boundary", "seed": 7, "events": [
+        ADMIT_H2, knock(10, "h2"),
+        send(20, "h3", "h7", dport=22, sport=5003, src_ip_of="h2", src_mac_of="h2"),
+        send(20, "h4", "h7", dport=22, sport=5004, src_ip_of="h2")]})
+    report = run_scenario(topology("default"), spec, acl=parse_acl(ALLOW_H2),
+                          store=parse_store({}))
+    assert report.hosts["h3"] == {"sent": 1, "delivered": 1, "dropped": 0,
+                                  "punted": 0, "consumed": 0}
+    assert report.hosts["h4"] == {"sent": 1, "delivered": 0, "dropped": 1,
+                                  "punted": 0, "consumed": 0}
+    last_h4 = [r for r in report.trace if r["sport"] == 5004][-1]
+    assert (last_h4["switch"], last_h4["stage"], last_h4["reason"]) == (
+        "s6", "stateless", "check_mac drop")
+
+
 # Rare pipeline lines the cases above must keep running, as (module,
 # function, the line above, the line): the text, not the line number, so
 # an edit elsewhere in the file does not move them.

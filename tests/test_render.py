@@ -1,14 +1,17 @@
-"""The one-pass report renderer gives exactly the text of
+"""The one-join report renderer gives exactly the text of
 `json.dumps(..., sort_keys=True, indent=2) + "\\n"`, the oracle here, on
-every report-shaped value: odd strings, empty containers, and records
-that do not fit the renderer's templates."""
+every report-shaped value: odd strings, empty containers, and records or
+trace rows that do not fit the renderer's templates. It holds little
+more than the text it returns."""
 
 import json
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p4filter.render import render
+from conftest import workload_report
+from p4filter.render import TRACE_FIELDS, TraceRows, render
 from p4filter.sim import RunReport
 
 
@@ -59,6 +62,18 @@ def mangled(draw, records):
     return record
 
 
+@st.composite
+def trace_rows(draw):
+    """A trace row as the simulator writes it, or with up to two of its
+    values replaced by a bool, a string or any scalar."""
+    record = draw(trace_records)
+    row = [record[k] for k in TRACE_FIELDS]
+    for i, value in draw(st.lists(st.tuples(
+            st.integers(0, len(row) - 1), st.booleans() | names | scalars), max_size=2)):
+        row[i] = value
+    return tuple(row)
+
+
 json_values = st.recursive(
     scalars,
     lambda inner: (st.lists(inner, max_size=3)
@@ -70,7 +85,8 @@ reports = st.builds(
     RunReport,
     scenario=names,
     seed=st.integers(),
-    trace=st.lists(mangled(trace_records), max_size=4) | json_values,
+    trace=(st.lists(mangled(trace_records), max_size=4)
+           | st.lists(trace_rows(), max_size=4).map(TraceRows) | json_values),
     hosts=st.dictionaries(names, st.dictionaries(
         st.sampled_from(["sent", "delivered", "dropped"]), scalars), max_size=3),
     rules=st.dictionaries(names, st.lists(mangled(rule_entries), max_size=6),
@@ -94,3 +110,17 @@ def test_report_text_equals_json_dumps(report):
 def test_any_json_value_renders_as_json_dumps(value):
     assert render(value) == oracle(value)
 
+
+
+def test_render_holds_little_more_than_its_text():
+    """The pieces of the seed-1 stateful_forward report and their one join,
+    not further copies of its multi-megabyte trace section."""
+    report = workload_report("stateful_forward", 600)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        text = report.canonical_text()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.5 * len(text)

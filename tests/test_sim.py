@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -37,6 +38,47 @@ class TestBundledScenarios:
         first, _ = run_bundled(name, default_topology)
         second, _ = run_bundled(name, default_topology)
         assert first.canonical_text() == second.canonical_text()
+
+
+# the keys of a trace record, in the order the simulator has always built them
+RECORD_KEYS = ["time", "switch", "verdict", "stage", "src", "dst", "sport", "dport",
+               "reason"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+class TestTraceRows:
+    """The report keeps its trace as rows; `report.trace` still reads as the
+    list of record dicts it used to be."""
+
+    def test_records_are_the_reports_in_key_order(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        records = list(report.trace)
+        # the digests pin the text, so its records are the old dicts' values
+        assert records == json.loads(report.canonical_text())["trace"]
+        assert all(list(r) == RECORD_KEYS for r in records)
+        assert [report.trace[i] for i in range(len(records))] == records
+        assert report.trace[-1] == records[-1]
+        assert report.trace[1:4] == records[1:4]
+        assert report.to_json_dict()["trace"] == records
+
+    def test_each_read_is_a_fresh_dict(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        first = report.trace[0]
+        first["verdict"] = "changed"
+        assert report.trace[0] is not first
+        assert report.trace[0]["verdict"] != "changed"
+
+    def test_len_is_the_record_count(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        assert len(report.trace) == sum(1 for _ in report.trace) == len(
+            json.loads(report.canonical_text())["trace"])
+
+    def test_a_list_of_records_renders_the_same_bytes(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        as_dicts = dataclasses.replace(report, trace=[dict(r) for r in report.trace])
+        assert as_dicts.canonical_text() == report.canonical_text()
+        assert as_dicts.to_json_dict() == report.to_json_dict()
+        assert as_dicts == report == run_bundled(name, default_topology)[0]
 
 
 class TestNoTeleportation:
