@@ -102,7 +102,7 @@ def _str_keyed(v) -> bool:
 
 class _Renderer:
     """One render: the pieces of its text, and memos that live as long as
-    the render. Every method writes its value's text to `out`."""
+    the render. The writers append their value's text to `out`."""
 
     def __init__(self):
         self.out: list[str] = []
@@ -128,31 +128,26 @@ class _Renderer:
     def field(self, name: str, v, indent: int) -> None:
         self.value(v, indent)
 
-    def items(self, seq, indent: int, item) -> None:
-        """A list, with `item(x, indent)` writing each member."""
+    def items(self, seq, indent: int, item, brackets: str = "[]") -> None:
+        """A list, or with "{}" an object, with `item(x, indent)` writing
+        each member."""
         if not seq:
-            self.out.append("[]")
+            self.out.append(brackets)
             return
         inner = "\n" + " " * (indent + 2)
-        sep, comma = "[" + inner, "," + inner
+        sep, comma = brackets[0] + inner, "," + inner
         for x in seq:
             self.out.append(sep)
             item(x, indent + 2)
             sep = comma
-        self.out.append("\n" + " " * indent + "]")
+        self.out.append("\n" + " " * indent + brackets[1])
 
     def fields(self, mapping: dict, indent: int, field) -> None:
         """An object, with `field(name, v, indent)` writing each value."""
-        if not mapping:
-            self.out.append("{}")
-            return
-        inner = "\n" + " " * (indent + 2)
-        sep, comma = "{" + inner, "," + inner
-        for k in sorted(mapping):
-            self.out.append(sep + self.text[k] + ": ")
-            field(k, mapping[k], indent + 2)
-            sep = comma
-        self.out.append("\n" + " " * indent + "}")
+        def member(name, indent):
+            self.out.append(self.text[name] + ": ")
+            field(name, mapping[name], indent)
+        self.items(sorted(mapping), indent, member, "{}")
 
     # The templates hold their own indentation: `member` reaches trace
     # records at indent 4 and rule-dump entries at indent 6, as json.dumps does.

@@ -111,7 +111,6 @@ def test_any_json_value_renders_as_json_dumps(value):
     assert render(value) == oracle(value)
 
 
-
 def test_render_holds_little_more_than_its_text():
     """The pieces of the seed-1 stateful_forward report and their one join,
     not further copies of its multi-megabyte trace section."""
