@@ -144,10 +144,10 @@ class _Renderer:
 
     def fields(self, mapping: dict, indent: int, field) -> None:
         """An object, with `field(name, v, indent)` writing each value."""
-        def member(name, indent):
+        def write(name, indent):
             self.out.append(self.text[name] + ": ")
             field(name, mapping[name], indent)
-        self.items(sorted(mapping), indent, member, "{}")
+        self.items(sorted(mapping), indent, write, "{}")
 
     # The templates hold their own indentation: `member` reaches trace
     # records at indent 4 and rule-dump entries at indent 6, as json.dumps does.
