@@ -7,25 +7,25 @@ multi-megabyte report in a list before the join. Here the whole document
 goes into one list of pieces, a trace record or rule-dump entry at a
 time, and one join makes the text, so no section is copied on the way.
 The two bulk shapes of a report each fill one `%` template: a trace
-record, straight from the simulator's row (`TraceRows`) or from a dict,
-and a rule-dump entry. Every distinct string and rule `params` object is
-rendered once, and a small walk writes the rest. A row or record whose
-key set or exact value types differ from its template goes through the
-walk, and a value the walk does not know (`bool`, `None`, a float, a dict
-with non-string keys, a subclass) goes through `json.dumps` itself, so no
-input renders differently.
+record, straight from the simulator's row (`TraceRows`), and a rule-dump
+entry. Every distinct string and rule `params` object is rendered once,
+and a small walk writes the rest, a trace given as a list of dicts too.
+A row or entry whose key set or exact value types differ from its
+template goes through the walk, and a value the walk does not know
+(`bool`, `None`, a float, a dict with non-string keys, a subclass) goes
+through `json.dumps` itself, so no input renders differently.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 # The fields of a trace row, in the order the simulator writes them.
 TRACE_FIELDS = (
     "time", "switch", "verdict", "stage", "src", "dst", "sport", "dport", "reason")
-_TRACE_KEYS = frozenset(TRACE_FIELDS)
 
 # A trace record as an item of the top-level "trace" list, at indent 4;
 # its keys in sorted order.
@@ -72,10 +72,8 @@ class TraceRows(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [dict(zip(TRACE_FIELDS, row)) for row in self.rows[i]]
-        return dict(zip(TRACE_FIELDS, self.rows[i]))
+    def __getitem__(self, i: int) -> dict:
+        return dict(zip(TRACE_FIELDS, self.rows[operator.index(i)]))
 
     def __iter__(self):
         for row in self.rows:
@@ -120,13 +118,10 @@ class _Renderer:
         elif t is list:
             self.items(v, indent, self.value)
         elif _str_keyed(v):
-            self.fields(v, indent, self.field)
+            self.fields(v, indent, lambda _, x, i: self.value(x, i))
         else:
             self.out.append(
                 json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + " " * indent))
-
-    def field(self, name: str, v, indent: int) -> None:
-        self.value(v, indent)
 
     def items(self, seq, indent: int, item, brackets: str = "[]") -> None:
         """A list, or with "{}" an object, with `item(x, indent)` writing
@@ -165,12 +160,6 @@ class _Renderer:
         else:
             self.value(dict(zip(TRACE_FIELDS, row)), indent)
 
-    def trace_record(self, rec, indent: int) -> None:
-        if type(rec) is dict and rec.keys() == _TRACE_KEYS:
-            self.trace_row(tuple(map(rec.__getitem__, TRACE_FIELDS)), indent)
-        else:
-            self.value(rec, indent)
-
     def rule_entry(self, entry, indent: int) -> None:
         if type(entry) is dict and entry.keys() == _RULE_KEYS:
             action, key, table = entry["action"], entry["key"], entry["table"]
@@ -207,8 +196,6 @@ class _Renderer:
         """A top-level value; "trace" and "rules" hold the templated shapes."""
         if name == "trace" and type(v) is TraceRows:
             self.items(v.rows, indent, self.trace_row)
-        elif name == "trace" and type(v) is list:
-            self.items(v, indent, self.trace_record)
         elif name == "rules" and _str_keyed(v):
             self.fields(v, indent, self.rule_list)
         else:

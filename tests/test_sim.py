@@ -58,7 +58,8 @@ class TestTraceRows:
         assert all(list(r) == RECORD_KEYS for r in records)
         assert [report.trace[i] for i in range(len(records))] == records
         assert report.trace[-1] == records[-1]
-        assert report.trace[1:4] == records[1:4]
+        with pytest.raises(TypeError):
+            report.trace[1:4]
         assert report.to_json_dict()["trace"] == records
 
     def test_each_read_is_a_fresh_dict(self, name, default_topology):
