@@ -107,7 +107,7 @@ class SequenceStore:
     def to_json_dict(self) -> dict:
         return {
             str(ip): {"knocks": list(seq.knock_ports), "service": seq.service_port}
-            for ip, seq in sorted(self.sequences.items(), key=lambda kv: kv[0].octets)
+            for ip, seq in sorted(self.sequences.items())
         }
 
     def canonical_text(self) -> str:
@@ -233,6 +233,6 @@ class Controller:
             # routes through one egress port share one Forward action
             forwards = {egress: tables.forward(egress) for egress in set(routes.values())}
             installs.extend(("ipv4_forward", Rule((dst_ip,), forwards[routes[dst_ip]]))
-                            for dst_ip in sorted(routes, key=lambda ip: ip.octets))
+                            for dst_ip in sorted(routes))
             self.routed.add(switch_id)
         return installs

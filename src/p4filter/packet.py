@@ -68,13 +68,16 @@ _IPV4_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4_TEXT = re.compile(r"\.".join([_IPV4_OCTET] * 4))
 
 
-@dataclass(frozen=True)
-class MacAddr:
-    octets: bytes
-
-    def __post_init__(self):
-        if len(self.octets) != 6:
+# The addresses are bytes, so hashing and equality (every table match, every
+# knock-stage and store lookup) run in C. They keep a __dict__ (no
+# __slots__) for the cached text, so every trace row of one host shares one
+# string. Equal bytes of another type compare equal too: tables keep raw
+# bytes out by the exact type of each key field.
+class MacAddr(bytes):
+    def __new__(cls, octets: bytes) -> "MacAddr":
+        if len(octets) != 6:
             raise ValueError("MAC address must be 6 octets")
+        return super().__new__(cls, octets)
 
     @classmethod
     def from_text(cls, text: str) -> "MacAddr":
@@ -84,17 +87,22 @@ class MacAddr:
             raise ValueError(f"bad MAC address {text!r}")
         return cls(bytes.fromhex(text.replace(":", "")))
 
+    @property
+    def octets(self) -> bytes:
+        return bytes(self)
+
+    def __repr__(self) -> str:
+        return f"MacAddr(octets={bytes(self)!r})"
+
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.octets)
+        return ":".join(f"{b:02x}" for b in self)
 
 
-@dataclass(frozen=True)
-class Ipv4Address:
-    octets: bytes
-
-    def __post_init__(self):
-        if len(self.octets) != 4:
+class Ipv4Address(bytes):
+    def __new__(cls, octets: bytes) -> "Ipv4Address":
+        if len(octets) != 4:
             raise ValueError("IPv4 address must be 4 octets")
+        return super().__new__(cls, octets)
 
     @classmethod
     def from_text(cls, text: str) -> "Ipv4Address":
@@ -105,10 +113,17 @@ class Ipv4Address:
             raise ValueError(f"bad IPv4 address {text!r}")
         return cls(bytes(map(int, match.groups())))
 
+    @property
+    def octets(self) -> bytes:
+        return bytes(self)
+
+    def __repr__(self) -> str:
+        return f"Ipv4Address(octets={bytes(self)!r})"
+
     @cached_property
     def _text(self) -> str:
         # the dotted text goes into every trace record, so render it once
-        return ".".join(map(str, self.octets))
+        return ".".join(map(str, self))
 
     def __str__(self) -> str:
         return self._text
@@ -116,7 +131,7 @@ class Ipv4Address:
 
 # The headers and the packet are NamedTuples: every forwarding hop rebuilds
 # two of them, and a tuple is built at a fraction of a frozen dataclass's
-# cost. TcpHeader and the addresses stay dataclasses for their checks.
+# cost. TcpHeader stays a dataclass for its port check.
 class EthernetHeader(NamedTuple):
     dst_mac: MacAddr
     src_mac: MacAddr
@@ -180,7 +195,7 @@ class FlowKey(NamedTuple):
     b_port: int
 
     def to_bytes(self) -> bytes:
-        return (self.a_ip.octets + self.b_ip.octets
+        return (self.a_ip + self.b_ip
                 + self.a_port.to_bytes(2, "big") + self.b_port.to_bytes(2, "big"))
 
 
@@ -208,14 +223,14 @@ def _ipv4_header_bytes(ip: Ipv4Header, checksum: int) -> bytes:
         ip.ttl,
         ip.protocol,
         checksum,
-        ip.src_ip.octets,
-        ip.dst_ip.octets,
+        ip.src_ip,
+        ip.dst_ip,
     )
 
 
 def serialize_packet(p: Packet) -> bytes:
     """Emit the wire frame; the IPv4 checksum is always recomputed."""
-    eth = p.eth.dst_mac.octets + p.eth.src_mac.octets + struct.pack("!H", p.eth.ethertype)
+    eth = p.eth.dst_mac + p.eth.src_mac + struct.pack("!H", p.eth.ethertype)
     total_length = IPV4_LEN + TCP_LEN + len(p.payload)
     ip = p.ip if p.ip.total_length == total_length else p.ip._replace(total_length=total_length)
     checksum = ipv4_checksum(_ipv4_header_bytes(ip, 0))
@@ -305,10 +320,11 @@ def flow_key(p: Packet, direction: int) -> FlowKey:
     direction 0 (packet from the internal side) keeps (src, dst, sport,
     dport); direction 1 swaps to (dst, src, dport, sport).
     """
+    _, ip, tcp, _ = p
     if direction == 0:
-        return FlowKey(p.ip.src_ip, p.ip.dst_ip, p.tcp.src_port, p.tcp.dst_port)
+        return FlowKey(ip.src_ip, ip.dst_ip, tcp.src_port, tcp.dst_port)
     if direction == 1:
-        return FlowKey(p.ip.dst_ip, p.ip.src_ip, p.tcp.dst_port, p.tcp.src_port)
+        return FlowKey(ip.dst_ip, ip.src_ip, tcp.dst_port, tcp.src_port)
     raise ValueError(f"direction must be 0 or 1, got {direction}")
 
 

@@ -263,7 +263,7 @@ class Simulator:
             if stages:
                 knock_stages[switch_id] = {
                     str(ip): stage
-                    for ip, stage in sorted(stages.items(), key=lambda kv: kv[0].octets)
+                    for ip, stage in sorted(stages.items())
                 }
         report = RunReport(
             scenario=scenario.name,

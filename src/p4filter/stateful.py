@@ -29,7 +29,8 @@ def stateful_process(p: Packet, direction: int, pair: BloomPair) -> Verdict:
     reversed 4-tuple, so nothing an outside host sends can grow the state.
     """
     if direction == INTERNAL:
-        if p.tcp.is_pure_syn:
+        _, _, tcp, _ = p
+        if tcp.is_pure_syn:
             pair.insert(flow_key(p, INTERNAL))
         return _INSIDE
     if pair.contains(flow_key(p, EXTERNAL)):

@@ -21,13 +21,14 @@ def stateless_check(p: Packet, check_ip: Table, check_mac: Table) -> Verdict:
     source must then hit check_mac on its exact (IP, MAC) binding, so a
     known IP with an unregistered MAC is dropped rather than allowed.
     """
-    ip_action, ip_hit = check_ip.lookup((p.ip.src_ip,))
+    eth, ip, _, _ = p
+    ip_action, ip_hit = check_ip.lookup((ip.src_ip,))
     if ip_action.kind == tables.DROP:
         return _IP_DROP
     if not ip_hit or ip_action.kind == tables.SEND_TO_CONTROLLER:
         return _IP_PUNT
 
-    mac_action, mac_hit = check_mac.lookup((p.ip.src_ip, p.eth.src_mac))
+    mac_action, mac_hit = check_mac.lookup((ip.src_ip, eth.src_mac))
     if mac_hit and mac_action.kind == tables.SET_ALLOWED:
         return _ALLOW
     return _MAC_DROP

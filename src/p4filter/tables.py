@@ -9,6 +9,7 @@ prefixes, no wildcards — which keeps every lookup result reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .packet import Ipv4Address, MacAddr
 
@@ -140,7 +141,14 @@ class Table:
 
     def lookup(self, key: tuple) -> tuple[Action, bool]:
         """(installed action, True) on hit; (default action, False) on miss."""
-        self._check_key(key)
+        # _check_key's test inlined for the one- and two-field schemas of the
+        # pipeline's tables; any other key goes to _check_key for its error
+        types = self.key_types
+        if type(key) is not tuple or len(key) != len(types) or not (
+                len(key) == 1 and type(key[0]) is types[0]
+                or len(key) == 2 and type(key[0]) is types[0]
+                and type(key[1]) is types[1]):
+            self._check_key(key)
         rule = self.rules.get(key)
         if rule is None:
             return self.default_action, False
@@ -148,16 +156,8 @@ class Table:
 
     def dump(self) -> list[dict]:
         """Audit form: one dict per rule, keys rendered as strings."""
-        out = []
-        for key, rule in sorted(self.rules.items(), key=lambda kv: _render_key(kv[0])):
-            out.append({
-                "table": self.name,
-                "key": _render_key(key),
-                "action": rule.action.kind,
-                "params": rule.action.param_dict,
-            })
-        return out
-
-
-def _render_key(key: tuple) -> list[str]:
-    return [str(f) for f in key]
+        # each key is rendered once, as the sort key and as the entry's key
+        entries = sorted((([str(f) for f in key], rule.action)
+                          for key, rule in self.rules.items()), key=itemgetter(0))
+        return [{"table": self.name, "key": key, "action": action.kind,
+                 "params": action.param_dict} for key, action in entries]

@@ -223,11 +223,10 @@ def build_network(spec: TopologySpec,
     for config in spec.switches:
         sw = P4Switch(config)
         if FEAT_KNOCKING not in config.features:
-            installs = [
-                ("ipv4_forward", Rule((ip,), forward(egress)))
-                for ip, egress in sorted(routes[config.switch_id].items(),
-                                         key=lambda kv: kv[0].octets)
-            ]
-            sw.apply_rule_install(installs)
+            table = routes[config.switch_id]
+            # routes through one egress port share one Forward action
+            forwards = {egress: forward(egress) for egress in set(table.values())}
+            sw.apply_rule_install([("ipv4_forward", Rule((ip,), forwards[table[ip]]))
+                                   for ip in sorted(table)])
         network[config.switch_id] = sw
     return network

@@ -326,6 +326,52 @@ class TestAddressText:
             pk.Ipv4Address.from_text("1.2.3")
 
 
+class TestAddressValues:
+    """Addresses are values: two objects of equal octets are one address,
+    whichever way each was made."""
+
+    def test_equal_distinct_objects_hash_and_compare_equal(self):
+        for a, b in [(pk.Ipv4Address.from_text("10.0.1.2"),
+                      pk.Ipv4Address(b"\n\x00\x01\x02")),
+                     (pk.MacAddr.from_text("02:00:00:00:01:02"),
+                      pk.MacAddr(bytes([2, 0, 0, 0, 1, 2])))]:
+            assert a is not b
+            assert a == b and not a != b and hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+
+    def test_repr_names_the_octets(self):
+        assert (repr(pk.MacAddr.from_text("02:ab:00:00:01:02"))
+                == "MacAddr(octets=b'\\x02\\xab\\x00\\x00\\x01\\x02')")
+        assert (repr(pk.Ipv4Address.from_text("10.0.1.2"))
+                == "Ipv4Address(octets=b'\\n\\x00\\x01\\x02')")
+
+    def test_octets_are_plain_bytes(self):
+        a = pk.Ipv4Address.from_text("10.0.1.2")
+        assert type(a.octets) is bytes and a.octets == b"\n\x00\x01\x02"
+        mac = pk.MacAddr.from_text("02:00:00:00:01:02")
+        assert type(mac.octets) is bytes and mac.octets == bytes([2, 0, 0, 0, 1, 2])
+
+    def test_sort_order_is_octet_order(self):
+        texts = ["10.0.1.10", "9.255.255.255", "10.0.1.2", "10.0.0.200", "192.168.0.1"]
+        ips = [pk.Ipv4Address.from_text(t) for t in texts]
+        by_octets = sorted(ips, key=lambda ip: ip.octets)
+        assert sorted(ips) == by_octets
+        assert [str(ip) for ip in by_octets] == [
+            "9.255.255.255", "10.0.0.200", "10.0.1.2", "10.0.1.10", "192.168.0.1"]
+
+    def test_text_is_rendered_once(self):
+        a = pk.Ipv4Address.from_text("10.0.1.2")
+        assert str(a) is str(a)
+        assert str(pk.Ipv4Address(a.octets)) == "10.0.1.2"
+
+    def test_ipv4_length_check(self):
+        for octets in (b"", b"\x00" * 3, b"\x00" * 5):
+            with pytest.raises(ValueError, match="must be 4 octets"):
+                pk.Ipv4Address(octets)
+        with pytest.raises(ValueError, match="must be 6 octets"):
+            pk.MacAddr(b"\x00" * 7)
+
+
 def test_random_frame_loop_round_trip():
     rng = random.Random(1)
     for _ in range(500):

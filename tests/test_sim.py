@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import load_bench, load_bundled_scenario, run_bundled
+from conftest import load_bench, load_bundled_scenario, run_bundled, workload_report
 from p4filter import sim as sim_module
 from p4filter import tables, topology
 from p4filter.bundled import SCENARIOS
@@ -80,6 +80,29 @@ class TestTraceRows:
         assert as_dicts.canonical_text() == report.canonical_text()
         assert as_dicts.to_json_dict() == report.to_json_dict()
         assert as_dicts == report == run_bundled(name, default_topology)[0]
+
+    def test_rows_share_each_addresss_text(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        assert_rows_share_address_text(report.trace.rows)
+
+
+def assert_rows_share_address_text(rows):
+    """Every row names an address by the one string that address renders, so
+    a long trace holds one copy of each host's text, not one per row."""
+    first = {}
+    for row in rows:
+        for text in row[4:6]:
+            assert first.setdefault(text, text) is text
+    assert len(first) < len(rows)
+
+
+def test_workload_rows_share_each_addresss_text():
+    rows = workload_report("stateful_forward", 20).trace.rows
+    sources = [row[4] for row in rows]
+    i = sources.index("10.0.1.1")
+    j = sources.index("10.0.1.1", i + 1)
+    assert rows[i][4] is rows[j][4]
+    assert_rows_share_address_text(rows)
 
 
 class TestNoTeleportation:

@@ -67,6 +67,40 @@ class TestInsertLookup:
         with pytest.raises(tb.SchemaMismatch):
             t.lookup((True,))
 
+    def test_equal_address_objects_hit_the_same_rule(self):
+        t = present_table()
+        t.insert(tb.Rule((IP1,), tb.set_allowed()))
+        macs = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
+        macs.insert(tb.Rule((IP1, MAC1), tb.set_allowed()))
+        ip = Ipv4Address(bytes([10, 0, 2, 2]))
+        mac = MacAddr(bytes([2, 0, 0, 0, 0, 1]))
+        assert ip is not IP1 and mac is not MAC1
+        assert t.lookup((ip,)) == (tb.set_allowed(), True)
+        assert macs.lookup((ip, mac)) == (tb.set_allowed(), True)
+
+    @pytest.mark.parametrize("field", [b"\n\x00\x02\x02", "10.0.2.2", True],
+                             ids=["bytes", "str", "bool"])
+    def test_raw_value_lookup_does_not_hit_address_rule(self, field):
+        """An address equals and hashes like its raw octets, so only the key
+        check keeps a bytes key from matching the rule installed for it."""
+        t = present_table()
+        t.insert(tb.Rule((IP1,), tb.set_allowed()))
+        assert IP1 == b"\n\x00\x02\x02"
+        with pytest.raises(tb.SchemaMismatch):
+            t.lookup((field,))
+        macs = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
+        macs.insert(tb.Rule((IP1, MAC1), tb.set_allowed()))
+        with pytest.raises(tb.SchemaMismatch):
+            macs.lookup((IP1, MAC1.octets))
+        with pytest.raises(tb.SchemaMismatch):
+            macs.lookup((field, MAC1))
+
+    @pytest.mark.parametrize("key", [[IP1], (IP1, IP1), (), IP1],
+                             ids=["list", "two-fields", "empty", "bare-address"])
+    def test_lookup_of_a_misshapen_key(self, key):
+        with pytest.raises(tb.SchemaMismatch):
+            present_table().lookup(key)
+
     def test_replacement_semantics(self):
         t = present_table()
         t.insert(tb.Rule((IP1,), tb.set_allowed()))
