@@ -21,7 +21,7 @@ from . import tables
 from .bundled import read_json
 from .knocking import POS_SERVICE, KnockSequence
 from .packet import Ipv4Address, MacAddr, parse_packet
-from .switch import FEAT_KNOCKING, FEAT_STATELESS
+from .switch import FEAT_KNOCKING, FEAT_STATELESS, route_installs
 from .tables import Rule
 
 ALLOW = "allow"
@@ -229,10 +229,6 @@ class Controller:
             installs.append(("knock_rules", Rule(
                 (src, seq.service_port), tables.set_allowed(pos=POS_SERVICE))))
         if switch_id not in self.routed:
-            routes = self.routes.get(switch_id, {})
-            # routes through one egress port share one Forward action
-            forwards = {egress: tables.forward(egress) for egress in set(routes.values())}
-            installs.extend(("ipv4_forward", Rule((dst_ip,), forwards[routes[dst_ip]]))
-                            for dst_ip in sorted(routes))
+            installs.extend(route_installs(self.routes.get(switch_id, {})))
             self.routed.add(switch_id)
         return installs

@@ -53,6 +53,13 @@ def knock_pos(action: tables.Action) -> int:
     return pos
 
 
+def route_installs(routes: dict[Ipv4Address, int]) -> list[tuple[str, Rule]]:
+    """The ipv4_forward rules for a destination-to-egress-port map, in
+    address order; routes through one egress port share one Forward action."""
+    forwards = {egress: tables.forward(egress) for egress in set(routes.values())}
+    return [("ipv4_forward", Rule((ip,), forwards[routes[ip]])) for ip in sorted(routes)]
+
+
 class UnknownPort(Exception):
     """Packet arrived on a port the switch does not have — fatal
     configuration error."""

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .bundled import read_json
 from .packet import Ipv4Address, MacAddr
-from .switch import CPU_PORT, FEAT_KNOCKING, P4Switch, SwitchConfig
-from .tables import Rule, forward
+from .switch import CPU_PORT, FEAT_KNOCKING, P4Switch, SwitchConfig, route_installs
 
 
 class InvalidTopology(Exception):
@@ -223,10 +222,6 @@ def build_network(spec: TopologySpec,
     for config in spec.switches:
         sw = P4Switch(config)
         if FEAT_KNOCKING not in config.features:
-            table = routes[config.switch_id]
-            # routes through one egress port share one Forward action
-            forwards = {egress: forward(egress) for egress in set(table.values())}
-            sw.apply_rule_install([("ipv4_forward", Rule((ip,), forwards[table[ip]]))
-                                   for ip in sorted(table)])
+            sw.apply_rule_install(route_installs(routes[config.switch_id]))
         network[config.switch_id] = sw
     return network
