@@ -81,7 +81,7 @@ class TestTraceRows:
         assert as_dicts.to_json_dict() == report.to_json_dict()
         assert as_dicts == report == run_bundled(name, default_topology)[0]
 
-    def test_rows_share_each_addresss_text(self, name, default_topology):
+    def test_rows_share_one_text_per_address(self, name, default_topology):
         report, _ = run_bundled(name, default_topology)
         assert_rows_share_address_text(report.trace.rows)
 
@@ -96,12 +96,12 @@ def assert_rows_share_address_text(rows):
     assert len(first) < len(rows)
 
 
-def test_workload_rows_share_each_addresss_text():
+def test_workload_rows_share_one_text_per_address():
     rows = workload_report("stateful_forward", 20).trace.rows
-    sources = [row[4] for row in rows]
-    i = sources.index("10.0.1.1")
-    j = sources.index("10.0.1.1", i + 1)
-    assert rows[i][4] is rows[j][4]
+    from_h1 = [row for row in rows if row[4] == "10.0.1.1"]
+    # a row of another packet (another source port) from the same host
+    other = next(row for row in from_h1 if row[6] != from_h1[0][6])
+    assert other[4] is from_h1[0][4]
     assert_rows_share_address_text(rows)
 
 
