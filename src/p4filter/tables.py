@@ -156,8 +156,9 @@ class Table:
 
     def dump(self) -> list[dict]:
         """Audit form: one dict per rule, keys rendered as strings."""
-        # each key is rendered once, as the sort key and as the entry's key
-        entries = sorted((([str(f) for f in key], rule.action)
-                          for key, rule in self.rules.items()), key=itemgetter(0))
-        return [{"table": self.name, "key": key, "action": action.kind,
-                 "params": action.param_dict} for key, action in entries]
+        # each key is rendered once: the entry's key is also its sort key
+        out = [{"table": self.name, "key": [str(f) for f in key],
+                "action": rule.action.kind, "params": rule.action.param_dict}
+               for key, rule in self.rules.items()]
+        out.sort(key=itemgetter("key"))
+        return out
