@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .packet import FlowKey, Ipv4Address
+from .packet import FlowKey
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -19,41 +19,22 @@ _SEED_MULT = 0x9E3779B97F4A7C15
 
 DEFAULT_M = 4096
 
-# A filter's memo of FNV states past the address bytes holds at most this
-# many address pairs; a full memo is emptied, so a flood of spoofed
-# sources cannot grow it without bound.
-MEMO_PAIRS = 4096
 
-
-def _address_state(hash_id: int, a_ip: Ipv4Address, b_ip: Ipv4Address) -> int:
-    """Seeded FNV-1a/64 state after the 8 address bytes of a flow key."""
-    h = _FNV_OFFSET ^ ((hash_id * _SEED_MULT) & _MASK64)
-    for b in a_ip + b_ip:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
-def bloom_hash(key: FlowKey, hash_id: int, m: int, memo: dict | None = None) -> int:
+def bloom_hash(key: FlowKey, hash_id: int, m: int) -> int:
     """Index in [0, m) for a flow key; m must be a power of two.
 
-    Seeded FNV-1a/64 over the 12-byte key (`FlowKey.to_bytes`) with a
-    splitmix64 finalizer; the seed folds in hash_id so distinct ids act as
-    independent family members. `memo`, kept by a filter of one hash_id,
-    maps (a_ip, b_ip) to the state after the address bytes, so a repeated
-    pair hashes only its 4 port bytes.
+    Seeded FNV-1a/64 over the 12-byte key (`FlowKey.to_bytes`: the two
+    addresses, then the two ports big-endian) with a splitmix64 finalizer;
+    the seed folds in hash_id so distinct ids act as independent family
+    members.
     """
     if m <= 0 or m & (m - 1):
         raise ValueError(f"m must be a power of two, got {m}")
     a_ip, b_ip, a_port, b_port = key
-    if memo is None:
-        h = _address_state(hash_id, a_ip, b_ip)
-    else:
-        h = memo.get((a_ip, b_ip))
-        if h is None:
-            if len(memo) >= MEMO_PAIRS:
-                memo.clear()
-            h = memo[a_ip, b_ip] = _address_state(hash_id, a_ip, b_ip)
-    # the ports, big-endian, one byte a round
+    h = _FNV_OFFSET ^ ((hash_id * _SEED_MULT) & _MASK64)
+    for b in a_ip + b_ip:
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    # the ports, one byte a round
     h = ((h ^ (a_port >> 8)) * _FNV_PRIME) & _MASK64
     h = ((h ^ (a_port & 0xFF)) * _FNV_PRIME) & _MASK64
     h = ((h ^ (b_port >> 8)) * _FNV_PRIME) & _MASK64
@@ -72,19 +53,17 @@ class BloomFilter:
     hash_id: int = 1
     bits: int = 0            # bitmask of length m
     inserted_count: int = 0
-    # FNV state past the address bytes, by (a_ip, b_ip); see bloom_hash
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m <= 0 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two, got {self.m}")
 
     def insert(self, key: FlowKey) -> None:
-        self.bits |= 1 << bloom_hash(key, self.hash_id, self.m, self.memo)
+        self.bits |= 1 << bloom_hash(key, self.hash_id, self.m)
         self.inserted_count += 1
 
     def contains(self, key: FlowKey) -> bool:
-        return bool(self.bits >> bloom_hash(key, self.hash_id, self.m, self.memo) & 1)
+        return bool(self.bits >> bloom_hash(key, self.hash_id, self.m) & 1)
 
     def popcount(self) -> int:
         return self.bits.bit_count()

@@ -117,8 +117,6 @@ class Table:
         self.key_types = tuple(_KIND_TYPES[kind] for kind in self.schema)
 
     def _check_key(self, key: tuple) -> None:
-        if isinstance(key, tuple) and tuple(map(type, key)) == self.key_types:
-            return
         if not isinstance(key, tuple) or len(key) != len(self.schema):
             raise SchemaMismatch(
                 f"{self.name}: key arity {len(key) if isinstance(key, tuple) else '?'}"
@@ -141,8 +139,9 @@ class Table:
 
     def lookup(self, key: tuple) -> tuple[Action, bool]:
         """(installed action, True) on hit; (default action, False) on miss."""
-        # _check_key's test inlined for the one- and two-field schemas of the
-        # pipeline's tables; any other key goes to _check_key for its error
+        # _check_key's rule, inlined for the one- and two-field schemas of the
+        # pipeline's tables; any other key goes through _check_key, which
+        # raises on a bad one
         types = self.key_types
         if type(key) is not tuple or len(key) != len(types) or not (
                 len(key) == 1 and type(key[0]) is types[0]

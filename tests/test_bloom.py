@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from p4filter.bloom import DEFAULT_M, MEMO_PAIRS, BloomFilter, BloomPair, bloom_hash
+from p4filter.bloom import DEFAULT_M, BloomFilter, BloomPair, bloom_hash
 from p4filter.packet import FlowKey, Ipv4Address
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -82,50 +82,21 @@ def reference_index(key, hash_id, m):
     return h & (m - 1)
 
 
-class TestAddressMemo:
-    """A filter keeps the FNV state past each address pair it has seen; its
-    indices are still exactly bloom_hash's."""
+class TestUnrolledHash:
+    """bloom_hash reads the key's fields directly; its indices are still the
+    byte loop's that the conformance fixture froze."""
 
-    @given(pairs=st.lists(st.tuples(_address, _address), min_size=1, max_size=4),
-           probes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 65535),
-                                     st.integers(0, 65535)), min_size=1, max_size=40),
-           hash_id=st.sampled_from([1, 2]), m=st.sampled_from([256, 4096]))
-    @settings(max_examples=200)
-    def test_memoized_index_is_bloom_hash(self, pairs, probes, hash_id, m):
+    @given(a_ip=_address, b_ip=_address, a_port=st.integers(0, 65535),
+           b_port=st.integers(0, 65535), hash_id=st.sampled_from([1, 2]),
+           m=st.sampled_from([256, 4096]))
+    @settings(max_examples=300)
+    def test_index_is_the_byte_loop(self, a_ip, b_ip, a_port, b_port, hash_id, m):
+        key = FlowKey(a_ip, b_ip, a_port, b_port)
+        index = bloom_hash(key, hash_id, m)
+        assert index == reference_index(key, hash_id, m)
         f = BloomFilter(m=m, hash_id=hash_id)
-        for which, a_port, b_port in probes:
-            a_ip, b_ip = pairs[which % len(pairs)]
-            # a fresh but equal address object must find the memoized state
-            key = FlowKey(Ipv4Address(a_ip.octets), b_ip, a_port, b_port)
-            index = bloom_hash(key, hash_id, m)
-            assert index == reference_index(key, hash_id, m)
-            assert bloom_hash(key, hash_id, m, f.memo) == index
-            bits = f.bits
-            f.insert(key)
-            assert f.bits == bits | 1 << index and f.contains(key)
-        assert 1 <= len(f.memo) <= len(pairs)
-
-    def test_memo_stays_bounded(self):
-        f = BloomFilter(m=DEFAULT_M, hash_id=2)
-        keys = [fk(n, n, 1000, 80) for n in range(MEMO_PAIRS + 10)]
-        for key in keys:
-            f.insert(key)
-        assert 0 < len(f.memo) <= MEMO_PAIRS
-        assert all(f.contains(key) for key in keys)
-        assert f.bits == sum({1 << bloom_hash(key, 2, DEFAULT_M) for key in keys})
-
-    def test_one_entry_per_address_pair(self):
-        f = BloomFilter(m=DEFAULT_M, hash_id=1)
-        key = fk(1, 2, 1000, 80)
         f.insert(key)
-        f.insert(fk(1, 2, 1001, 80))
-        f.contains(fk(1, 2, 1002, 443))
-        assert list(f.memo) == [(key.a_ip, key.b_ip)]
-
-    def test_memo_is_not_part_of_equality(self):
-        used, fresh = BloomFilter(m=256, hash_id=1), BloomFilter(m=256, hash_id=1)
-        used.contains(fk(1, 2, 1000, 80))
-        assert used.memo and used == fresh
+        assert f.bits == 1 << index and f.contains(key)
 
 
 class TestBloomFilter:

@@ -301,6 +301,11 @@ class TestAddressText:
         a, b = pk.Ipv4Address(b"\x0a\x00\x01\x02"), pk.Ipv4Address.from_text("10.0.1.2")
         assert a == b and hash(a) == hash(b) and str(a) == "10.0.1.2"
         assert repr(a) == "Ipv4Address(octets=b'\\n\\x00\\x01\\x02')"
+        mac = pk.MacAddr(bytes([2, 0xAB, 0, 0, 1, 2]))
+        same = pk.MacAddr.from_text("02:ab:00:00:01:02")
+        assert mac == same and not mac != same and hash(mac) == hash(same)
+        assert {mac: 1}[same] == 1
+        assert repr(mac) == "MacAddr(octets=b'\\x02\\xab\\x00\\x00\\x01\\x02')"
 
     @pytest.mark.parametrize("text", [
         "10.0.1.+2", " 10.0.1.2", "10.0.1.2 ", "10.0.1.\u0662", "010.0.1.2",
@@ -320,30 +325,18 @@ class TestAddressText:
             pk.MacAddr.from_text(text)
 
     def test_bad_lengths(self):
-        with pytest.raises(ValueError):
-            pk.MacAddr(b"\x00" * 5)
+        for octets in (b"\x00" * 5, b"\x00" * 7):
+            with pytest.raises(ValueError, match="must be 6 octets"):
+                pk.MacAddr(octets)
+        for octets in (b"", b"\x00" * 3, b"\x00" * 5):
+            with pytest.raises(ValueError, match="must be 4 octets"):
+                pk.Ipv4Address(octets)
         with pytest.raises(ValueError):
             pk.Ipv4Address.from_text("1.2.3")
 
 
 class TestAddressValues:
-    """Addresses are values: two objects of equal octets are one address,
-    whichever way each was made."""
-
-    def test_equal_distinct_objects_hash_and_compare_equal(self):
-        for a, b in [(pk.Ipv4Address.from_text("10.0.1.2"),
-                      pk.Ipv4Address(b"\n\x00\x01\x02")),
-                     (pk.MacAddr.from_text("02:00:00:00:01:02"),
-                      pk.MacAddr(bytes([2, 0, 0, 0, 1, 2])))]:
-            assert a is not b
-            assert a == b and not a != b and hash(a) == hash(b)
-            assert {a: 1}[b] == 1
-
-    def test_repr_names_the_octets(self):
-        assert (repr(pk.MacAddr.from_text("02:ab:00:00:01:02"))
-                == "MacAddr(octets=b'\\x02\\xab\\x00\\x00\\x01\\x02')")
-        assert (repr(pk.Ipv4Address.from_text("10.0.1.2"))
-                == "Ipv4Address(octets=b'\\n\\x00\\x01\\x02')")
+    """Addresses are values over their octets."""
 
     def test_octets_are_plain_bytes(self):
         a = pk.Ipv4Address.from_text("10.0.1.2")
@@ -363,13 +356,6 @@ class TestAddressValues:
         a = pk.Ipv4Address.from_text("10.0.1.2")
         assert str(a) is str(a)
         assert str(pk.Ipv4Address(a.octets)) == "10.0.1.2"
-
-    def test_ipv4_length_check(self):
-        for octets in (b"", b"\x00" * 3, b"\x00" * 5):
-            with pytest.raises(ValueError, match="must be 4 octets"):
-                pk.Ipv4Address(octets)
-        with pytest.raises(ValueError, match="must be 6 octets"):
-            pk.MacAddr(b"\x00" * 7)
 
 
 def test_random_frame_loop_round_trip():
