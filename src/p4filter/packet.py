@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -121,17 +120,17 @@ class Ipv4Address(bytes):
         return f"Ipv4Address(octets={bytes(self)!r})"
 
     @cached_property
-    def _text(self) -> str:
-        # the dotted text goes into every trace record, so render it once
+    def text(self) -> str:
+        """The dotted text, rendered once: it goes into every trace row."""
         return ".".join(map(str, self))
 
     def __str__(self) -> str:
-        return self._text
+        return self.text
 
 
 # The headers and the packet are NamedTuples: every forwarding hop rebuilds
 # two of them, and a tuple is built at a fraction of a frozen dataclass's
-# cost. TcpHeader stays a dataclass for its port check.
+# cost. TcpHeader is a NamedTuple subclass whose __new__ checks the ports.
 class EthernetHeader(NamedTuple):
     dst_mac: MacAddr
     src_mac: MacAddr
@@ -150,20 +149,33 @@ class Ipv4Header(NamedTuple):
     flags_frag: int = 0
 
 
-@dataclass(frozen=True)
-class TcpHeader:
+class _TcpFields(NamedTuple):
+    # the defaults are TcpHeader.__new__'s
     src_port: int
     dst_port: int
-    flags: int = 0
-    seq: int = 0
-    ack: int = 0
-    window: int = 65535
-    checksum: int = 0   # carried, never validated; 0 on synthesized frames
-    urgent: int = 0
+    flags: int
+    seq: int
+    ack: int
+    window: int
+    checksum: int   # carried, never validated; 0 on synthesized frames
+    urgent: int
 
-    def __post_init__(self):
-        if not 0 <= self.src_port <= 0xFFFF or not 0 <= self.dst_port <= 0xFFFF:
+
+class TcpHeader(_TcpFields):
+    __slots__ = ()
+
+    def __new__(cls, src_port: int, dst_port: int, flags: int = 0, seq: int = 0,
+                ack: int = 0, window: int = 65535, checksum: int = 0,
+                urgent: int = 0) -> "TcpHeader":
+        if not 0 <= src_port <= 0xFFFF or not 0 <= dst_port <= 0xFFFF:
             raise ValueError("TCP port out of range")
+        return tuple.__new__(cls, (src_port, dst_port, flags, seq, ack, window,
+                                   checksum, urgent))
+
+    @classmethod
+    def _make(cls, iterable) -> "TcpHeader":
+        # NamedTuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     @property
     def is_pure_syn(self) -> bool:
@@ -333,7 +345,9 @@ def make_packet(src_ip: str | Ipv4Address, dst_ip: str | Ipv4Address,
                 sport: int, dport: int, flags: int = SYN, ttl: int = 64,
                 payload: bytes = b"", seq: int = 0, ack: int = 0) -> Packet:
     """Convenience constructor used by hosts and tests. Addresses may be
-    text or already-parsed values; the IPv4 header checksum is filled in."""
+    text or already-parsed values; the IPv4 header checksum is filled in.
+    Raises ValueError for a TTL outside 0..255, a payload too long for the
+    16-bit total_length, or a port outside 0..65535."""
     if isinstance(src_ip, str):
         src_ip = Ipv4Address.from_text(src_ip)
     if isinstance(dst_ip, str):
@@ -342,9 +356,17 @@ def make_packet(src_ip: str | Ipv4Address, dst_ip: str | Ipv4Address,
         src_mac = MacAddr.from_text(src_mac)
     if isinstance(dst_mac, str):
         dst_mac = MacAddr.from_text(dst_mac)
+    if not 0 <= ttl <= 0xFF:
+        raise ValueError(f"TTL {ttl} outside 0..255")
     total_length = IPV4_LEN + TCP_LEN + len(payload)
-    checksum = ipv4_checksum(_ipv4_header_bytes(
-        Ipv4Header(src_ip, dst_ip, ttl, PROTO_TCP, 0, total_length), 0))
+    if total_length > 0xFFFF:
+        raise ValueError(f"total_length {total_length} exceeds 65535")
+    # RFC 1071 over the header's words: version/IHL with tos 0, the length,
+    # identification and flags 0, TTL/protocol, the two addresses
+    checksum = ~_ones_fold(
+        0x4500 + total_length + (ttl << 8 | PROTO_TCP)
+        + (src_ip[0] << 8 | src_ip[1]) + (src_ip[2] << 8 | src_ip[3])
+        + (dst_ip[0] << 8 | dst_ip[1]) + (dst_ip[2] << 8 | dst_ip[3])) & 0xFFFF
     return Packet(
         EthernetHeader(dst_mac, src_mac),
         Ipv4Header(src_ip, dst_ip, ttl, PROTO_TCP, checksum, total_length),

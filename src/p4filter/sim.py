@@ -3,12 +3,14 @@
 Time is integer ticks. A host's injected packet is processed by its switch
 at the event's tick; every switch-to-switch link costs one tick, and a
 packet a switch sends out of a host's port is counted delivered then. The
-event queue orders by (time, insertion sequence), which gives FIFO delivery
-per link and full run-to-run determinism. Punts are resolved synchronously:
-the controller's rule installs land on the punting switch within the same
-tick, before any later event is processed. Each switch pass returns its
-verdict; the simulator appends its trace row (`TraceRows`) and counts it
-for the sender.
+event queue is a calendar queue over the integer ticks: one list of items
+per pending tick, run in push order, and a heap of the pending ticks
+alone. That is the order of sorting by (time, insertion sequence), which
+gives FIFO delivery per link and full run-to-run determinism. Punts are
+resolved synchronously: the controller's rule installs land on the
+punting switch within the same tick, before any later event is
+processed. Each switch pass returns its verdict; the simulator appends
+its trace row (`TraceRows`) and counts it for the sender.
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ class Simulator:
             self.links[link.switch_a, link.port_a] = (link.switch_b, link.port_b)
             self.links[link.switch_b, link.port_b] = (link.switch_a, link.port_a)
 
-        self._queue: list[tuple] = []
-        self._seq = 0
+        self._buckets: dict[int, list[tuple]] = {}   # tick -> its items, in push order
+        self._ticks: list[int] = []                  # heap of the buckets' ticks
         self._now = 0    # tick being processed; time starts at 0
         self._ephemeral: dict[str, int] = {}
         self._stats = {h.name: dict.fromkeys(COUNTERS, 0) for h in topo.hosts}
@@ -124,8 +126,13 @@ class Simulator:
         if time < self._now:
             raise TimeReversal(
                 f"cannot schedule at tick {time} while processing tick {self._now}")
-        heapq.heappush(self._queue, (time, self._seq, item))
-        self._seq += 1
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [item]
+            heapq.heappush(self._ticks, time)
+        else:
+            # the running tick's bucket too: its loop reaches the new item
+            bucket.append(item)
 
     def _next_sport(self, host: str) -> int:
         port = self._ephemeral.setdefault(host, 40000)
@@ -219,15 +226,17 @@ class Simulator:
         for event in scenario.events:
             self._push(event.time, ("event", event.host, event.action))
 
-        while self._queue:
-            time, _, item = heapq.heappop(self._queue)
-            self._now = time
-            if item[0] == "event":
-                _, sender, action = item
-                self._expand(time, sender, action)
-            else:
-                _, sender, switch_id, ingress_port, packet = item
-                self._process_at_switch(time, sender, switch_id, ingress_port, packet)
+        buckets, ticks = self._buckets, self._ticks
+        while ticks:
+            time = self._now = heapq.heappop(ticks)
+            for item in buckets[time]:
+                if item[0] == "event":
+                    _, sender, action = item
+                    self._expand(time, sender, action)
+                else:
+                    _, sender, switch_id, ingress_port, packet = item
+                    self._process_at_switch(time, sender, switch_id, ingress_port, packet)
+            del buckets[time]
 
         return self._report(scenario)
 
@@ -237,7 +246,7 @@ class Simulator:
         stage, (kind, reason), out = switch.process_packet(ingress_port, packet)
         _, ip, tcp, _ = packet
         # one row per pass, its fields in render.TRACE_FIELDS order
-        self._trace.append((time, switch_id, kind, stage, str(ip.src_ip), str(ip.dst_ip),
+        self._trace.append((time, switch_id, kind, stage, ip.src_ip.text, ip.dst_ip.text,
                             tcp.src_port, tcp.dst_port, reason))
         if kind == FORWARDED:
             egress = (switch_id, out.egress_port)

@@ -3,10 +3,11 @@ tables, plus rule installation from the controller.
 
 Stage order is presence check, stateless firewall, stateful firewall, port
 knocking, IPv4 forwarding. Filter stages run only on switches configured
-with the matching feature, so a plain forwarder is just stages 1 (as a
-no-op) and 5. A pass returns how it ended: the stage that ended it, the
-verdict, and the packet out when one leaves. The switch keeps no clock and
-no log; whoever runs it records the pass.
+with the matching feature, so a plain forwarder is just stage 5, plus
+stage 1 once its presence table holds a rule. A pass returns how it
+ended: the stage that ended it, the verdict, and the packet out when one
+leaves. The switch keeps no clock and no log; whoever runs it records the
+pass.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class P4Switch:
 
     def __init__(self, config: SwitchConfig):
         self.config = config
+        self._ports = frozenset(config.ports)
         self.blooms = BloomPair.sized(DEFAULT_M)
         # stage register; each source's knock_rules ports, by position
         self.knock_stages: dict[Ipv4Address, int] = {}
@@ -127,26 +129,28 @@ class P4Switch:
 
     # -- pipeline ----------------------------------------------------------
 
-    def _egress_is_internal(self, dst_ip: Ipv4Address) -> bool:
-        action, hit = self.ipv4_forward.lookup((dst_ip,))
-        if not hit or action.kind != tables.FORWARD:
+    def _egress_is_internal(self, route: tables.Action) -> bool:
+        """Whether the ipv4_forward action `route` sends out of an internal port."""
+        if route.kind != tables.FORWARD:
             return False
-        _, internal = self.check_ports.lookup((action.param("port"),))
+        _, internal = self.check_ports.lookup((route.param("port"),))
         return internal
 
     def process_packet(self, ingress_port: int,
                        p: Packet) -> tuple[str, Verdict, PacketOut | None]:
         """(stage, verdict, out): where and how the pass ended, and the packet
         leaving (routed with TTL decremented, or punted unchanged), if any."""
-        if ingress_port not in self.config.ports:
+        if ingress_port not in self._ports:
             raise UnknownPort(f"{self.config.switch_id}: no port {ingress_port}")
         _, ip, tcp, _ = p
-        # 1. presence check on the source; SetAllowed / NoAction continue
-        action, _ = self.present_table.lookup((ip.src_ip,))
-        if action.kind == tables.SEND_TO_CONTROLLER:
-            return STAGE_PRESENT, _PRESENT_PUNT, PacketOut(self.config.cpu_port, p)
-        if action.kind == tables.DROP:
-            return STAGE_PRESENT, _PRESENT_DROP, None
+        # 1. presence check on the source; SetAllowed / NoAction continue.
+        #    Without knocking the default is NoAction, so only a rule can act.
+        if self._knocking or self.present_table.rules:
+            action, _ = self.present_table.lookup((ip.src_ip,))
+            if action.kind == tables.SEND_TO_CONTROLLER:
+                return STAGE_PRESENT, _PRESENT_PUNT, PacketOut(self.config.cpu_port, p)
+            if action.kind == tables.DROP:
+                return STAGE_PRESENT, _PRESENT_DROP, None
 
         # 2. stateless firewall
         if self._stateless:
@@ -156,12 +160,14 @@ class P4Switch:
                 return STAGE_STATELESS, verdict, out
 
         # 3. stateful firewall; traffic staying inside the protected side
-        #    never consults or grows the flow state
+        #    never consults or grows the flow state. No stage changes a
+        #    table during a pass, so stage 5 reuses the route found here.
+        route = None
         if self._stateful:
             direction = stateful.classify_direction(ingress_port, self.check_ports)
-            bypass = (direction == stateful.INTERNAL
-                      and self._egress_is_internal(ip.dst_ip))
-            if not bypass:
+            if direction == stateful.INTERNAL:
+                route, _ = self.ipv4_forward.lookup((ip.dst_ip,))
+            if route is None or not self._egress_is_internal(route):
                 verdict = stateful.stateful_process(p, direction, self.blooms)
                 if verdict.kind != FORWARDED:
                     return STAGE_STATEFUL, verdict, None
@@ -180,14 +186,15 @@ class P4Switch:
                 return STAGE_KNOCKING, verdict, None
 
         # 5. IPv4 forwarding
-        action, _ = self.ipv4_forward.lookup((ip.dst_ip,))
-        if action.kind != tables.FORWARD:
+        if route is None:
+            route, _ = self.ipv4_forward.lookup((ip.dst_ip,))
+        if route.kind != tables.FORWARD:
             return STAGE_FORWARD, _NO_ROUTE, None
         try:
             out = decrement_ttl(p)
         except TtlExpired:
             return STAGE_FORWARD, _TTL_EXPIRED, None
-        return STAGE_FORWARD, _ROUTED, PacketOut(action.param("port"), out)
+        return STAGE_FORWARD, _ROUTED, PacketOut(route.param("port"), out)
 
     # -- control plane -----------------------------------------------------
 

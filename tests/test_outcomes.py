@@ -6,20 +6,24 @@ switch could change: a repeat with a gap and a fixed source port, knocks
 in a permuted order, with another host's sequence, from a spoofed address,
 without the service probe and as a bare service probe, a restart at stage
 1 and 2, a source with no knock state, a displaced knock rule, a TTL that
-runs out, a route that drops, and an egress port with nothing attached. A
-changed digest in fixtures/outcome_digests.json is a behaviour change, to
-be explained or reverted, never re-recorded to make the test pass.
+runs out, a route that drops, and an egress port with nothing attached.
+Three more go through `p4filter run --store`: a pre-seeded store file, one
+a punt creates, and one that cannot be written. A changed digest in
+fixtures/outcome_digests.json or fixtures/store_outcomes.json is a
+behaviour change, to be explained or reverted, never re-recorded to make
+the test pass.
 """
 
 import hashlib
 import json
 import linecache
+import re
 import sys
 
 import pytest
 
 from conftest import fixture_json
-from p4filter import knocking, switch
+from p4filter import cli, controller, knocking, switch
 from p4filter.bundled import default_topology_path
 from p4filter.controller import parse_acl, parse_store
 from p4filter.scenario import parse_scenario
@@ -27,6 +31,7 @@ from p4filter.sim import run_scenario
 from p4filter.topology import parse_topology
 
 DIGESTS = fixture_json("outcome_digests.json")
+STORE_OUTCOMES = fixture_json("store_outcomes.json")
 
 ALLOW_H2 = [{"ip": "10.0.1.2", "mac": "02:00:00:00:01:02", "verdict": "allow"}]
 ALLOW_H1_H2 = ALLOW_H2 + [
@@ -127,8 +132,49 @@ def run_case(name):
                         store=parse_store(store))
 
 
+# Cases run through `p4filter run --store`, so the store is a file: name ->
+# (ACL entries, the file's text before the run or None for no file, events).
+# The pre-seeded file is not in the canonical layout, so a rewrite shows.
+STORE_CASES = {
+    "store_file_preseeded_knock": (ALLOW_H1_H2, json.dumps(H2_SEQUENCE), [
+        knock(0, "h2"), knock(10, "h2", spacing=3), send(20, "h1", "h7", dport=22)]),
+    "store_file_created_by_punt": (ALLOW_H2, None, [ADMIT_H2, knock(10, "h2")]),
+}
+
+
+def run_cli_case(directory, name, acl, events, store):
+    """`p4filter run` on the bundled topology with `--store store` and
+    `--out` in `directory`: the exit code and the report's path."""
+    directory.mkdir(exist_ok=True)
+    acl_path, scenario, out = (directory / f for f in ("acl.json", "scenario.json",
+                                                        "report.json"))
+    acl_path.write_text(json.dumps(acl))
+    scenario.write_text(json.dumps({"name": name, "seed": 7, "events": events}))
+    code = cli.main(["run", "--topology", default_topology_path(), "--scenario",
+                     str(scenario), "--acl", str(acl_path), "--store", str(store),
+                     "--out", str(out)])
+    return code, out
+
+
+def run_store_case(directory, name):
+    acl, text, events = STORE_CASES[name]
+    store = directory / "store.json"
+    if text is not None:
+        directory.mkdir()
+        store.write_text(text)
+    return run_cli_case(directory, name, acl, events, store), store
+
+
+def run_rollback_case(directory):
+    """An allowed punt whose store file cannot be written: the store's
+    parent directory does not exist."""
+    store = directory / "absent" / "store.json"
+    return run_cli_case(directory, "store_write_fails", ALLOW_H2, [ADMIT_H2], store), store
+
+
 def test_every_case_has_a_digest():
     assert sorted(DIGESTS) == sorted(CASES)
+    assert sorted(STORE_OUTCOMES) == sorted(STORE_CASES)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -136,6 +182,33 @@ def test_report_matches_recorded_digest(name):
     report = run_case(name)
     digest = hashlib.sha256(report.canonical_text().encode()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", STORE_CASES)
+def test_store_file_matches_recorded_outcome(name, tmp_path):
+    (code, out), store = run_store_case(tmp_path / name, name)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STORE_OUTCOMES[name]["report"]
+    assert store.read_text(encoding="utf-8") == STORE_OUTCOMES[name]["store"]
+
+
+def test_store_write_failure_exits_2_and_rolls_back(tmp_path, monkeypatch, capsys):
+    loaded = []
+
+    def load_and_keep(path):
+        loaded.append(controller.load_store(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_store", load_and_keep)
+    (code, out), store = run_rollback_case(tmp_path / "store_write_fails")
+    assert code == 2
+    assert not out.exists() and not store.parent.exists()
+    assert loaded[0].path == str(store) and loaded[0].sequences == {}
+    missing = re.escape(str(store.parent))
+    assert re.fullmatch(
+        f"error: cannot write store file {re.escape(str(store))}: \\[Errno 2\\] No such"
+        f" file or directory: '{missing}/\\.store\\.json\\.[^/']+\\.tmp'\n",
+        capsys.readouterr().err)
 
 
 def test_unattached_egress_port_drops_after_forwarding():
@@ -180,10 +253,10 @@ def test_identity_is_the_ip_and_mac_pair():
 # an edit elsewhere in the file does not move them.
 OUTCOME_LINES = {
     ("switch", "_egress_is_internal",
-     "if not hit or action.kind != tables.FORWARD:", "return False"),
+     "if route.kind != tables.FORWARD:", "return False"),
     ("switch", "process_packet", "if stage is None:",
      "return STAGE_KNOCKING, _NO_KNOCK_STATE, None"),
-    ("switch", "process_packet", "if action.kind != tables.FORWARD:",
+    ("switch", "process_packet", "if route.kind != tables.FORWARD:",
      "return STAGE_FORWARD, _NO_ROUTE, None"),
     ("switch", "process_packet", "except TtlExpired:",
      "return STAGE_FORWARD, _TTL_EXPIRED, None"),
@@ -192,12 +265,33 @@ OUTCOME_LINES = {
     ("switch", "apply_rule_install", "else:", "self.knock_stages.pop(ip, None)"),
     # the restart below stage 3, not the re-authentication from it
     ("knocking", "knock_step", "if pos == 0:", "return _ABSORBED, 1"),
+    # a store file read, written and rolled back
+    ("controller", "load_store",
+     '"""Read a store file; a missing or empty file is an empty store."""',
+     'return parse_store(read_json(path, MalformedStore, "store", empty=True), path)'),
+    ("controller", "save_store", "try:",
+     "fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(store.path)),"),
+    ("controller", "save_store", "f.flush()", "os.fsync(f.fileno())"),
+    ("controller", "save_store", "os.fsync(f.fileno())", "os.replace(tmp, store.path)"),
+    ("controller", "save_store", "except OSError as e:", "if tmp is not None:"),
+    ("controller", "handle_packet_in", "except PersistenceFailure:",
+     "self.store.remove(src)   # keep memory equal to disk"),
+    ("controller", "remove", "def remove(self, ip: Ipv4Address) -> None:",
+     "self.sequences.pop(ip, None)"),
 }
 
 
-def executed_lines(modules):
+def run_every_case(directory):
+    for name in CASES:
+        run_case(name)
+    for name in STORE_CASES:
+        run_store_case(directory / name, name)
+    run_rollback_case(directory / "store_write_fails")
+
+
+def executed_lines(modules, run):
     """(module, function, the line above, the line) for every line of
-    `modules` that running every case executes."""
+    `modules` that `run()` executes."""
     names = {m.__file__: m.__name__.rpartition(".")[2] for m in modules}
     seen = set()
 
@@ -212,13 +306,14 @@ def executed_lines(modules):
     previous = sys.gettrace()
     sys.settrace(call_tracer)
     try:
-        for name in CASES:
-            run_case(name)
+        run()
     finally:
         sys.settrace(previous)
     return {(names[path], function, linecache.getline(path, n - 1).strip(),
              linecache.getline(path, n).strip()) for path, function, n in seen}
 
 
-def test_cases_run_every_rare_outcome_line():
-    assert OUTCOME_LINES - executed_lines([switch, knocking]) == set()
+def test_cases_run_every_rare_outcome_line(tmp_path):
+    executed = executed_lines([switch, knocking, controller],
+                              lambda: run_every_case(tmp_path))
+    assert OUTCOME_LINES - executed == set()

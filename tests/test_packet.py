@@ -203,6 +203,8 @@ class TestHeaderValues:
         (golden_packet(), "ip"),
         (golden_packet().ip, "ttl"),
         (golden_packet().eth, "ethertype"),
+        (golden_packet().tcp, "src_port"),
+        (golden_packet().tcp, "note"),     # no field: TcpHeader has no __dict__
     ])
     def test_fields_cannot_be_assigned(self, value, field):
         with pytest.raises(AttributeError):
@@ -219,6 +221,34 @@ class TestHeaderValues:
         with pytest.raises(ValueError):
             pk.TcpHeader(70000, 1)
 
+    @pytest.mark.parametrize("build", [
+        lambda: pk.TcpHeader(1, -1, pk.SYN),
+        lambda: pk.TcpHeader(src_port=1, dst_port=0x10000),
+        lambda: pk.TcpHeader(dst_port=1, src_port=-1, window=0),
+        lambda: pk.TcpHeader._make((70000, 1, 0, 0, 0, 65535, 0, 0)),
+        lambda: pk.TcpHeader._make([1, 0x10000, 0, 0, 0, 65535, 0, 0]),
+        lambda: pk.TcpHeader(1, 2)._replace(src_port=70000),
+        lambda: pk.TcpHeader(1, 2)._replace(dst_port=-1, flags=pk.ACK),
+    ], ids=["positional_dst", "keyword_dst", "keyword_src", "make_src", "make_dst",
+            "replace_src", "replace_dst"])
+    def test_tcp_port_range_is_checked_by_every_constructor(self, build):
+        with pytest.raises(ValueError, match="TCP port out of range"):
+            build()
+
+    def test_tcp_header_is_a_value(self):
+        tcp = pk.TcpHeader(1234, 80, pk.SYN)
+        assert tcp == pk.TcpHeader(src_port=1234, dst_port=80, flags=pk.SYN, seq=0,
+                                   ack=0, window=65535, checksum=0, urgent=0)
+        assert tcp == pk.TcpHeader._make(tcp) == tcp._replace()
+        assert tcp != pk.TcpHeader(1234, 81, pk.SYN)
+        assert hash(tcp) == hash(pk.TcpHeader(1234, 80, pk.SYN)) == hash(
+            (1234, 80, pk.SYN, 0, 0, 65535, 0, 0))
+        assert repr(tcp) == ("TcpHeader(src_port=1234, dst_port=80, flags=2, seq=0,"
+                             " ack=0, window=65535, checksum=0, urgent=0)")
+        assert type(tcp._replace(dst_port=22)) is pk.TcpHeader
+        assert copy.deepcopy(tcp) == tcp and tcp.is_pure_syn
+        assert not tcp._replace(flags=pk.SYN | pk.ACK).is_pure_syn
+
     def test_serialize_rewrites_a_stale_total_length(self):
         right = pk.make_packet("10.0.5.1", "10.0.1.2", "02:00:00:00:05:01",
                                "02:00:00:00:01:02", 40000, 22, payload=b"hello")
@@ -232,6 +262,38 @@ class TestMakePacket:
         p = golden_packet()
         assert p.ip.header_checksum == pk.ipv4_checksum(pk._ipv4_header_bytes(p.ip, 0))
         assert p == pk.parse_packet(GOLDEN_SYN_TTL64)
+
+    @given(src=st.binary(min_size=4, max_size=4), dst=st.binary(min_size=4, max_size=4),
+           sport=st.integers(0, 65535), dport=st.integers(0, 65535),
+           flags=st.integers(0, 63), ttl=st.integers(0, 255),
+           payload=st.binary(max_size=64))
+    @settings(max_examples=300)
+    def test_checksum_is_the_serialized_headers(self, src, dst, sport, dport, flags,
+                                                ttl, payload):
+        p = pk.make_packet(pk.Ipv4Address(src), pk.Ipv4Address(dst),
+                           pk.MacAddr(b"\x02" * 6), pk.MacAddr(b"\x04" * 6),
+                           sport, dport, flags=flags, ttl=ttl, payload=payload)
+        wire = pk.serialize_packet(p)
+        header = wire[pk.ETH_LEN:pk.ETH_LEN + pk.IPV4_LEN]
+        assert p.ip.header_checksum == pk.ipv4_checksum(header[:10] + b"\0\0" + header[12:])
+        assert pk.parse_packet(wire) == p
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ttl": -1}, "TTL -1 outside 0..255"),
+        ({"ttl": 256}, "TTL 256 outside 0..255"),
+        ({"payload": bytes(0xFFFF - 39)}, "total_length 65536 exceeds 65535"),
+    ])
+    def test_out_of_range_fields_raise_value_error(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            pk.make_packet("10.0.1.1", "10.0.3.3", "02:00:00:00:01:01",
+                           "02:00:00:00:03:03", 1234, 80, **fields)
+
+    def test_longest_payload_round_trips(self):
+        p = pk.make_packet("10.0.1.1", "10.0.3.3", "02:00:00:00:01:01",
+                           "02:00:00:00:03:03", 1234, 80, ttl=255,
+                           payload=bytes(0xFFFF - 40))
+        assert p.ip.total_length == 0xFFFF
+        assert pk.parse_packet(pk.serialize_packet(p)) == p
 
     def test_text_and_parsed_addresses_give_equal_packets(self):
         args = ("10.0.1.1", "10.0.3.3", "02:00:00:00:01:01", "02:00:00:00:03:03")
@@ -354,7 +416,7 @@ class TestAddressValues:
 
     def test_text_is_rendered_once(self):
         a = pk.Ipv4Address.from_text("10.0.1.2")
-        assert str(a) is str(a)
+        assert str(a) is str(a) is a.text
         assert str(pk.Ipv4Address(a.octets)) == "10.0.1.2"
 
 

@@ -13,6 +13,7 @@ from p4filter.scenario import (InvalidScenario, NoSequence, ScenarioEvent, Scena
                                SendAction, parse_scenario)
 from p4filter.sim import (CountersNotConserved, RunReport, Simulator, TimeReversal,
                          evaluate_expect, run_scenario)
+from p4filter.switch import FEAT_KNOCKING
 from p4filter.topology import compute_routes, parse_topology
 
 
@@ -103,6 +104,36 @@ def test_workload_rows_share_one_text_per_address():
     other = next(row for row in from_h1 if row[6] != from_h1[0][6])
     assert other[4] is from_h1[0][4]
     assert_rows_share_address_text(rows)
+
+
+def test_workload_lookups_per_table(monkeypatch):
+    """Table lookups of seed-1 stateful_forward, by switch and table. A
+    switch without knocking never looks up its empty presence table, and a
+    pass looks its route up once, also where the stateful stage needs it."""
+    networks, looked_up = [], Counter()
+    build, lookup = sim_module.build_network, tables.Table.lookup
+
+    def keep_network(*args):
+        networks.append(build(*args))
+        return networks[-1]
+
+    def count_lookup(table, key):
+        looked_up[id(table)] += 1
+        return lookup(table, key)
+
+    monkeypatch.setattr(sim_module, "build_network", keep_network)
+    monkeypatch.setattr(tables.Table, "lookup", count_lookup)
+    workload_report("stateful_forward", 600)
+    (network,) = networks
+    per_table = {(sid, table.name): looked_up[id(table)]
+                 for sid, switch in network.items() for table in switch.tables.values()
+                 if looked_up[id(table)]}
+    assert not [sid for sid, switch in network.items()
+                if FEAT_KNOCKING not in switch.config.features
+                and (sid, "present_table") in per_table]
+    assert per_table == {("s1", "check_ports"): 3600, ("s1", "ipv4_forward"): 2411,
+                         ("s3", "ipv4_forward"): 3000, ("s4", "ipv4_forward"): 3000,
+                         ("s5", "ipv4_forward"): 3000}
 
 
 class TestNoTeleportation:
@@ -328,6 +359,16 @@ class TestTimeOrder:
         send = SendAction(dst="h3", dport=80)
         with pytest.raises(TimeReversal, match="tick -1 while processing tick 0"):
             self.run_events(default_topology, ScenarioEvent(-1, "h1", send))
+
+    def test_a_tick_runs_its_items_in_push_order(self, default_topology):
+        """h1's event expands into two packets at tick 0; they queue behind
+        h3's event, which is already waiting at that tick."""
+        report = self.run_events(
+            default_topology,
+            ScenarioEvent(0, "h1", SendAction(dst="h3", dport=80, repeat=2, gap=0)),
+            ScenarioEvent(0, "h3", SendAction(dst="h5", dport=81)))
+        assert [(r["src"], r["sport"]) for r in report.trace if r["time"] == 0] == [
+            ("10.0.1.1", 40000), ("10.0.1.1", 40001), ("10.0.5.1", 40000)]
 
     def test_same_tick_is_allowed(self, default_topology):
         send = SendAction(dst="h3", dport=80, repeat=3, gap=0)

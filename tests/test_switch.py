@@ -96,6 +96,19 @@ class TestPlainForwarder:
         assert out.egress_port == 3
         assert verdict.kind != PUNTED
 
+    def test_present_table_rules_act_without_knocking(self):
+        """The switch skips the presence lookup while the table is empty;
+        a rule installed there acts as on a knocking switch."""
+        sw = switch()
+        route(sw, D_IP, 3)
+        sw.apply_rule_install([
+            ("present_table", tb.Rule((ip(A_IP),), tb.drop())),
+            ("present_table", tb.Rule((ip(B_IP),), tb.set_allowed()))])
+        assert sw.process_packet(1, pkt()) == (
+            "present", Verdict(DROPPED, "present_table drop"), None)
+        _, verdict, out = sw.process_packet(1, pkt(src_ip=B_IP, src_mac=B_MAC))
+        assert verdict == Verdict(FORWARDED, "forwarded") and out.egress_port == 3
+
 
 class TestPuntOnce:
     def test_first_packet_punts_to_cpu(self):
