@@ -86,10 +86,6 @@ class MacAddr(bytes):
             raise ValueError(f"bad MAC address {text!r}")
         return cls(bytes.fromhex(text.replace(":", "")))
 
-    @property
-    def octets(self) -> bytes:
-        return bytes(self)
-
     def __repr__(self) -> str:
         return f"MacAddr(octets={bytes(self)!r})"
 
@@ -111,10 +107,6 @@ class Ipv4Address(bytes):
         if match is None:
             raise ValueError(f"bad IPv4 address {text!r}")
         return cls(bytes(map(int, match.groups())))
-
-    @property
-    def octets(self) -> bytes:
-        return bytes(self)
 
     def __repr__(self) -> str:
         return f"Ipv4Address(octets={bytes(self)!r})"

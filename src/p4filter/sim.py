@@ -135,8 +135,9 @@ class Simulator:
             bucket.append(item)
 
     def _next_sport(self, host: str) -> int:
-        port = self._ephemeral.setdefault(host, 40000)
-        self._ephemeral[host] = port + 1
+        # a host stack's ephemeral range: 40000..65535, then round again
+        port = self._ephemeral.get(host, 40000)
+        self._ephemeral[host] = port + 1 if port < 0xFFFF else 40000
         return port
 
     # -- event expansion ---------------------------------------------------

@@ -391,6 +391,17 @@ class TestEphemeralPorts:
         assert h1_sports == [40000, 40001, 40002]
         assert h3_sports == [40000]
 
+    def test_sports_wrap_to_40000_after_65535(self, default_topology):
+        """The 25,537th packet of one host reuses 40000; it once ran past
+        65535 and the TCP header refused it."""
+        report = simulate(default_topology, {
+            "name": "x", "seed": 1, "events": [
+                {"time": 0, "host": "h1", "action": "send", "dst": "h3",
+                 "dport": 80, "repeat": 25537, "gap": 0}]})
+        sports = [r["sport"] for r in report.trace if r["switch"] == "s1"]
+        assert sports == [*range(40000, 65536), 40000]
+        assert report.hosts["h1"]["sent"] == report.hosts["h1"]["delivered"] == 25537
+
 
 class TestReportChecks:
     def test_evaluate_expect_reports_mismatches(self, default_topology):

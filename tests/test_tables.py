@@ -91,7 +91,7 @@ class TestInsertLookup:
         macs = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
         macs.insert(tb.Rule((IP1, MAC1), tb.set_allowed()))
         with pytest.raises(tb.SchemaMismatch):
-            macs.lookup((IP1, MAC1.octets))
+            macs.lookup((IP1, bytes(MAC1)))
         with pytest.raises(tb.SchemaMismatch):
             macs.lookup((field, MAC1))
 
