@@ -23,10 +23,9 @@ DEFAULT_M = 4096
 def bloom_hash(key: FlowKey, hash_id: int, m: int) -> int:
     """Index in [0, m) for a flow key; m must be a power of two.
 
-    Seeded FNV-1a/64 over the 12-byte key (`FlowKey.to_bytes`: the two
-    addresses, then the two ports big-endian) with a splitmix64 finalizer;
-    the seed folds in hash_id so distinct ids act as independent family
-    members.
+    Seeded FNV-1a/64 over the key's 12 bytes (the two addresses, then the
+    two ports big-endian) with a splitmix64 finalizer; the seed folds in
+    hash_id so distinct ids act as independent family members.
     """
     if m <= 0 or m & (m - 1):
         raise ValueError(f"m must be a power of two, got {m}")

@@ -3,9 +3,10 @@
 Fixed 20-byte IPv4 and TCP headers (no options, no fragmentation), since
 the pipeline only ever filters plain TCP. Values are immutable; every
 transformation returns a new object, which keeps packet processing
-deterministic and safe to replay. Every packet built here or parsed from
-a frame carries a valid IPv4 header checksum, which each forwarding hop
-updates incrementally.
+deterministic and safe to replay. A packet carries no IPv4 header
+checksum: as in a P4 program's compute-checksum control, the deparser
+(serialize_packet) computes it once, when a frame is emitted, and
+parse_packet checks it on a frame that comes in.
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ class Ipv4Header(NamedTuple):
     dst_ip: Ipv4Address
     ttl: int
     protocol: int = PROTO_TCP
-    header_checksum: int = 0
     total_length: int = IPV4_LEN + TCP_LEN
     tos: int = 0
     identification: int = 0
@@ -198,22 +198,14 @@ class FlowKey(NamedTuple):
     a_port: int
     b_port: int
 
-    def to_bytes(self) -> bytes:
-        return (self.a_ip + self.b_ip
-                + self.a_port.to_bytes(2, "big") + self.b_port.to_bytes(2, "big"))
-
-
-def _ones_fold(total: int) -> int:
-    """Fold a sum of 16-bit words to 16 bits with end-around carry."""
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
 
 def ipv4_checksum(header: bytes) -> int:
     """Standard one's-complement sum over 16-bit words, checksum field zeroed
     by the caller."""
-    return ~_ones_fold(sum(struct.unpack(f"!{len(header) // 2}H", header))) & 0xFFFF
+    total = sum(struct.unpack(f"!{len(header) // 2}H", header))
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
 
 
 def _ipv4_header_bytes(ip: Ipv4Header, checksum: int) -> bytes:
@@ -291,8 +283,8 @@ def parse_packet(frame: bytes) -> Packet:
         eth=EthernetHeader(dst_mac=dst_mac, src_mac=src_mac, ethertype=ethertype),
         ip=Ipv4Header(
             src_ip=Ipv4Address(src_ip), dst_ip=Ipv4Address(dst_ip), ttl=ttl,
-            protocol=proto, header_checksum=checksum, total_length=total_length,
-            tos=tos, identification=ident, flags_frag=flags_frag),
+            protocol=proto, total_length=total_length, tos=tos,
+            identification=ident, flags_frag=flags_frag),
         tcp=TcpHeader(src_port=sport, dst_port=dport, flags=flags, seq=seq,
                       ack=ack, window=window, checksum=tcp_sum, urgent=urgent),
         payload=frame[54:],
@@ -300,21 +292,13 @@ def parse_packet(frame: bytes) -> Packet:
 
 
 def decrement_ttl(p: Packet) -> Packet:
-    """One forwarding hop: ttl - 1 with the header checksum updated.
-
-    The update follows RFC 1624 eqn 3, HC' = ~(~HC + ~m + m'), over the
-    16-bit word m that holds ttl and protocol, so it equals a full
-    recompute whenever the incoming checksum is valid. Raises TtlExpired
-    when the incoming ttl is already 0.
-    """
+    """One forwarding hop: ttl - 1, and nothing else. Raises TtlExpired
+    when the incoming ttl is already 0."""
     ip = p.ip
     if ip.ttl == 0:
         raise TtlExpired("ttl is 0")
-    old_word = (ip.ttl << 8) | ip.protocol
-    total = (~ip.header_checksum & 0xFFFF) + (~old_word & 0xFFFF) + old_word - 0x100
-    new_ip = Ipv4Header(
-        ip.src_ip, ip.dst_ip, ip.ttl - 1, ip.protocol, ~_ones_fold(total) & 0xFFFF,
-        ip.total_length, ip.tos, ip.identification, ip.flags_frag)
+    new_ip = Ipv4Header(ip.src_ip, ip.dst_ip, ip.ttl - 1, ip.protocol, ip.total_length,
+                        ip.tos, ip.identification, ip.flags_frag)
     return Packet(p.eth, new_ip, p.tcp, p.payload)
 
 
@@ -337,9 +321,9 @@ def make_packet(src_ip: str | Ipv4Address, dst_ip: str | Ipv4Address,
                 sport: int, dport: int, flags: int = SYN, ttl: int = 64,
                 payload: bytes = b"", seq: int = 0, ack: int = 0) -> Packet:
     """Convenience constructor used by hosts and tests. Addresses may be
-    text or already-parsed values; the IPv4 header checksum is filled in.
-    Raises ValueError for a TTL outside 0..255, a payload too long for the
-    16-bit total_length, or a port outside 0..65535."""
+    text or already-parsed values. Raises ValueError for a TTL outside
+    0..255, a payload too long for the 16-bit total_length, or a port
+    outside 0..65535."""
     if isinstance(src_ip, str):
         src_ip = Ipv4Address.from_text(src_ip)
     if isinstance(dst_ip, str):
@@ -353,15 +337,9 @@ def make_packet(src_ip: str | Ipv4Address, dst_ip: str | Ipv4Address,
     total_length = IPV4_LEN + TCP_LEN + len(payload)
     if total_length > 0xFFFF:
         raise ValueError(f"total_length {total_length} exceeds 65535")
-    # RFC 1071 over the header's words: version/IHL with tos 0, the length,
-    # identification and flags 0, TTL/protocol, the two addresses
-    checksum = ~_ones_fold(
-        0x4500 + total_length + (ttl << 8 | PROTO_TCP)
-        + (src_ip[0] << 8 | src_ip[1]) + (src_ip[2] << 8 | src_ip[3])
-        + (dst_ip[0] << 8 | dst_ip[1]) + (dst_ip[2] << 8 | dst_ip[3])) & 0xFFFF
     return Packet(
         EthernetHeader(dst_mac, src_mac),
-        Ipv4Header(src_ip, dst_ip, ttl, PROTO_TCP, checksum, total_length),
+        Ipv4Header(src_ip, dst_ip, ttl, PROTO_TCP, total_length),
         TcpHeader(sport, dport, flags, seq, ack),
         payload,
     )

@@ -189,7 +189,7 @@ class Simulator:
                     _parse_key_field(kind, text)
                     for kind, text in zip(table.schema, pre.key)
                 )
-                action = Action.make(pre.action, **dict(pre.params))
+                action = Action(pre.action, pre.params)
                 # the table's own check first, so its message names what it needs
                 if table is switch.knock_rules:
                     knock_pos(action)

@@ -72,7 +72,8 @@ def reference_index(key, hash_id, m):
     bytes, then the splitmix64 finalizer."""
     mask = (1 << 64) - 1
     h = 0xCBF29CE484222325 ^ ((hash_id * 0x9E3779B97F4A7C15) & mask)
-    for b in key.to_bytes():
+    a_ip, b_ip, a_port, b_port = key
+    for b in a_ip + b_ip + a_port.to_bytes(2, "big") + b_port.to_bytes(2, "big"):
         h = ((h ^ b) * 0x100000001B3) & mask
     h ^= h >> 30
     h = (h * 0xBF58476D1CE4E5B9) & mask

@@ -2,7 +2,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p4filter import packet as pk
@@ -157,44 +157,27 @@ class TestTtl:
         with pytest.raises(pk.TtlExpired):
             pk.decrement_ttl(p)
 
-    def test_checksum_recomputed(self):
-        hopped = pk.decrement_ttl(golden_packet())
-        header = pk._ipv4_header_bytes(hopped.ip, 0)
-        assert pk.ipv4_checksum(header) == hopped.ip.header_checksum
-        # and only ttl/checksum changed
-        original = golden_packet()
-        assert hopped.eth == original.eth and hopped.tcp == original.tcp
-        assert hopped.ip.src_ip == original.ip.src_ip
-        assert hopped.ip.dst_ip == original.ip.dst_ip
-
-
     @given(
         src=st.binary(min_size=4, max_size=4), dst=st.binary(min_size=4, max_size=4),
         ttl=st.integers(1, 255), protocol=st.integers(0, 255),
         total_length=st.integers(0, 65535), tos=st.integers(0, 255),
         identification=st.integers(0, 65535), flags_frag=st.integers(0, 65535),
     )
-    # The one header sum where RFC 1141's update (HC + 0x100) gives 0xFFFF
-    # instead of 0: ttl 1 and a word sum that folds to 0x0100.
-    @example(src=b"\0" * 4, dst=b"\0" * 4, ttl=1, protocol=0, total_length=0xBAFF,
-             tos=0, identification=0, flags_frag=0)
     @settings(max_examples=500)
-    def test_incremental_checksum_equals_full_recompute(
+    def test_decrement_ttl_changes_only_the_ttl(
             self, src, dst, ttl, protocol, total_length, tos, identification,
             flags_frag):
-        unsummed = pk.Ipv4Header(
+        ip = pk.Ipv4Header(
             src_ip=pk.Ipv4Address(src), dst_ip=pk.Ipv4Address(dst), ttl=ttl,
             protocol=protocol, total_length=total_length, tos=tos,
             identification=identification, flags_frag=flags_frag)
-        valid = pk.ipv4_checksum(pk._ipv4_header_bytes(unsummed, 0))
         p = pk.Packet(
             eth=pk.EthernetHeader(dst_mac=pk.MacAddr(b"\x02" * 6),
                                   src_mac=pk.MacAddr(b"\x04" * 6)),
-            ip=unsummed._replace(header_checksum=valid),
-            tcp=pk.TcpHeader(src_port=1, dst_port=2))
-        hopped = pk.decrement_ttl(p).ip
-        assert hopped == unsummed._replace(ttl=ttl - 1, header_checksum=hopped.header_checksum)
-        assert hopped.header_checksum == pk.ipv4_checksum(pk._ipv4_header_bytes(hopped, 0))
+            ip=ip,
+            tcp=pk.TcpHeader(src_port=1, dst_port=2),
+            payload=b"data")
+        assert pk.decrement_ttl(p) == p._replace(ip=ip._replace(ttl=ttl - 1))
 
 
 class TestHeaderValues:
@@ -258,11 +241,6 @@ class TestHeaderValues:
 
 
 class TestMakePacket:
-    def test_checksum_filled_in(self):
-        p = golden_packet()
-        assert p.ip.header_checksum == pk.ipv4_checksum(pk._ipv4_header_bytes(p.ip, 0))
-        assert p == pk.parse_packet(GOLDEN_SYN_TTL64)
-
     @given(src=st.binary(min_size=4, max_size=4), dst=st.binary(min_size=4, max_size=4),
            sport=st.integers(0, 65535), dport=st.integers(0, 65535),
            flags=st.integers(0, 63), ttl=st.integers(0, 255),
@@ -270,13 +248,12 @@ class TestMakePacket:
     @settings(max_examples=300)
     def test_checksum_is_the_serialized_headers(self, src, dst, sport, dport, flags,
                                                 ttl, payload):
+        # parse_packet raises BadChecksum unless the frame's checksum is its
+        # header's, and the packet carries none of its own to compare
         p = pk.make_packet(pk.Ipv4Address(src), pk.Ipv4Address(dst),
                            pk.MacAddr(b"\x02" * 6), pk.MacAddr(b"\x04" * 6),
                            sport, dport, flags=flags, ttl=ttl, payload=payload)
-        wire = pk.serialize_packet(p)
-        header = wire[pk.ETH_LEN:pk.ETH_LEN + pk.IPV4_LEN]
-        assert p.ip.header_checksum == pk.ipv4_checksum(header[:10] + b"\0\0" + header[12:])
-        assert pk.parse_packet(wire) == p
+        assert pk.parse_packet(pk.serialize_packet(p)) == p
 
     @pytest.mark.parametrize("fields, message", [
         ({"ttl": -1}, "TTL -1 outside 0..255"),
@@ -346,9 +323,6 @@ class TestFlowKey:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             pk.flow_key(self._packet(), 2)
-
-    def test_key_bytes_are_twelve(self):
-        assert len(pk.flow_key(self._packet(), 0).to_bytes()) == 12
 
 
 class TestAddressText:

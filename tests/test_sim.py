@@ -9,11 +9,12 @@ from p4filter import sim as sim_module
 from p4filter import tables, topology
 from p4filter.bundled import SCENARIOS
 from p4filter.controller import SequenceStore, load_store, parse_acl
+from p4filter.packet import parse_packet, serialize_packet
 from p4filter.scenario import (InvalidScenario, NoSequence, ScenarioEvent, ScenarioSpec,
                                SendAction, parse_scenario)
 from p4filter.sim import (CountersNotConserved, RunReport, Simulator, TimeReversal,
                          evaluate_expect, run_scenario)
-from p4filter.switch import FEAT_KNOCKING
+from p4filter.switch import FEAT_KNOCKING, P4Switch
 from p4filter.topology import compute_routes, parse_topology
 
 
@@ -339,6 +340,58 @@ class TestScenarioErrors:
                 "preinstall": [{"switch": "s1", "table": "nat",
                                 "key": ["10.0.1.1"],
                                 "action": "SetAllowed"}]})
+
+    def test_preinstall_params_may_share_a_name_with_an_argument(self, default_topology):
+        """Action parameters are the scenario's names, whatever they are;
+        none of them may collide with how the action is built."""
+        report = simulate(default_topology, {
+            "name": "x", "seed": 1, "events": [
+                {"time": 0, "host": "h1", "action": "send", "dst": "h3", "dport": 80}],
+            "preinstall": [
+                {"switch": "s1", "table": "ipv4_forward", "key": ["10.0.1.1"],
+                 "action": "Forward", "params": {"kind": 1, "port": 3}},
+                {"switch": "s1", "table": "check_ip", "key": ["10.0.1.1"],
+                 "action": "SetAllowed", "params": {"cls": 1}}]})
+        assert report.hosts["h1"]["delivered"] == 1
+        rules = [r for r in report.rules["s1"] if r["key"] == ["10.0.1.1"]]
+        assert rules == [
+            {"table": "check_ip", "key": ["10.0.1.1"], "action": "SetAllowed",
+             "params": {"cls": 1}},
+            {"table": "ipv4_forward", "key": ["10.0.1.1"], "action": "Forward",
+             "params": {"kind": 1, "port": 3}}]
+
+
+class TestEmittedFrames:
+    """A packet carries no IPv4 checksum; the one the deparser writes must
+    still be right. Every packet a switch forwards or punts serializes to a
+    frame that parse_packet accepts, checksum included, and that parses back
+    to the same packet."""
+
+    @staticmethod
+    def check_emitted_frames(monkeypatch, run):
+        """Run, check every packet a switch pass emitted, and count them."""
+        emitted = []
+        process = P4Switch.process_packet
+
+        def keep_out(switch, ingress_port, packet):
+            result = process(switch, ingress_port, packet)
+            if result[2] is not None:
+                emitted.append(result[2].packet)
+            return result
+
+        monkeypatch.setattr(P4Switch, "process_packet", keep_out)
+        run()
+        for packet in emitted:
+            assert parse_packet(serialize_packet(packet)) == packet
+        return len(emitted)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_scenario(self, name, default_topology, monkeypatch):
+        self.check_emitted_frames(monkeypatch, lambda: run_bundled(name, default_topology))
+
+    @pytest.mark.parametrize("name", sorted(load_bench("workloads").GENERATORS))
+    def test_bench_workload(self, name, monkeypatch):
+        assert self.check_emitted_frames(monkeypatch, lambda: workload_report(name, 40))
 
 
 class TestTimeOrder:

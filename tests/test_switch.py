@@ -64,12 +64,13 @@ class TestPlainForwarder:
     def test_ttl_checksum_recomputed(self):
         sw = switch()
         route(sw, D_IP, 3)
-        original = parse_packet(serialize_packet(pkt(ttl=64)))
-        _, _, out = sw.process_packet(1, original)
-        forwarded = out.packet
+        original = serialize_packet(pkt(ttl=64))
+        _, _, out = sw.process_packet(1, parse_packet(original))
+        forwarded = serialize_packet(out.packet)
         # the emitted header must checksum to zero when re-verified
-        assert parse_packet(serialize_packet(forwarded)).ip.ttl == 63
-        assert forwarded.ip.header_checksum != original.ip.header_checksum
+        assert parse_packet(forwarded).ip.ttl == 63
+        # the IPv4 checksum's two bytes
+        assert forwarded[24:26] != original[24:26]
 
     def test_no_route_drops(self):
         sw = switch()
