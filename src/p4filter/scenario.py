@@ -71,9 +71,9 @@ class ScenarioEvent(NamedTuple):
 class PreinstallRule:
     switch: str
     table: str
-    key: tuple[str, ...]    # textual fields, resolved against the table schema
+    key: tuple[str, ...]    # textual fields, read by the table schema
     action: str
-    params: tuple = ()
+    params: dict = field(default_factory=dict)   # checked by Table.read_rule
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,12 @@ def parse_scenario(obj) -> ScenarioSpec:
             switch, table, key, action = (
                 item[f] for f in ("switch", "table", "key", "action"))
             params = item.get("params", {})
-            if not (all(isinstance(v, str) for v in (switch, table, action))
-                    and isinstance(key, list) and isinstance(params, dict)):
+            if not (isinstance(key, list) and isinstance(params, dict)
+                    and all(isinstance(v, str) for v in (switch, table, action, *key))):
                 raise InvalidScenario(
                     f"bad preinstall rule {item!r}: switch, table and action"
-                    " must be strings, key a list, params an object")
-            preinstall.append(PreinstallRule(
-                switch, table, tuple(str(k) for k in key), action,
-                tuple(sorted(params.items()))))
+                    " must be strings, key a list of strings, params an object")
+            preinstall.append(PreinstallRule(switch, table, tuple(key), action, params))
         except (KeyError, TypeError) as e:
             raise InvalidScenario(f"bad preinstall rule {item!r}: {e}") from e
 

@@ -17,19 +17,16 @@ from __future__ import annotations
 
 import heapq
 import random
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 from .controller import ALLOW, AclEntry, Controller, SequenceStore
-from .packet import SYN, Ipv4Address, MacAddr, Packet, make_packet, serialize_packet
+from .packet import SYN, Ipv4Address, Packet, make_packet, serialize_packet
 from .render import TraceRows, render
 from .scenario import (COUNTERS, InvalidScenario, NoSequence, ScenarioSpec, SendAction,
                        knock_client)
-from .tables import (FORWARD, Action, Rule, SchemaMismatch, TableError, KIND_IPV4,
-                     KIND_MAC)
-from .switch import knock_pos
+from .tables import TableError
 from .topology import TopologySpec, build_network, compute_routes
 from .verdict import CONSUMED, DROPPED, FORWARDED, PUNTED
 
@@ -181,27 +178,8 @@ class Simulator:
             if table is None:
                 raise InvalidScenario(f"{bad_rule}: no table named {pre.table!r}")
             try:
-                if len(pre.key) != len(table.schema):
-                    raise SchemaMismatch(
-                        f"{pre.table}: key arity {len(pre.key)}"
-                        f" != schema arity {len(table.schema)}")
-                key = tuple(
-                    _parse_key_field(kind, text)
-                    for kind, text in zip(table.schema, pre.key)
-                )
-                action = Action(pre.action, pre.params)
-                # the table's own check first, so its message names what it needs
-                if table is switch.knock_rules:
-                    knock_pos(action)
-                elif (table is switch.ipv4_forward and action.kind == FORWARD
-                        and action.param("port") is None):
-                    raise SchemaMismatch("a Forward route needs a 'port'")
-                # P4 action data is bit<W>: every parameter is an integer
-                for name, value in pre.params:
-                    if type(value) is not int:
-                        raise SchemaMismatch(
-                            f"action parameter {name!r} must be an integer, got {value!r}")
-                switch.apply_rule_install([(pre.table, Rule(key, action))])
+                rule = table.read_rule(pre.key, pre.action, pre.params)
+                switch.apply_rule_install([(pre.table, rule)])
             except (TableError, ValueError) as e:
                 raise InvalidScenario(f"{bad_rule}: {e}") from e
 
@@ -289,20 +267,6 @@ class Simulator:
         if not report.conservation_holds():
             raise CountersNotConserved(f"per-host counters: {report.hosts}")
         return report
-
-
-# a port key is ASCII decimal with no sign, space, underscore or leading zero
-_PORT_TEXT = re.compile(r"0|[1-9][0-9]{0,4}")
-
-
-def _parse_key_field(kind: str, text: str):
-    if kind == KIND_IPV4:
-        return Ipv4Address.from_text(text)
-    if kind == KIND_MAC:
-        return MacAddr.from_text(text)
-    if _PORT_TEXT.fullmatch(text) is None or int(text) > 0xFFFF:
-        raise ValueError(f"bad port {text!r}: want a decimal number in 0..65535")
-    return int(text)
 
 
 def run_scenario(topo: TopologySpec, scenario: ScenarioSpec,

@@ -46,12 +46,18 @@ _ROUTED = Verdict(FORWARDED, "forwarded")
 
 
 def knock_pos(action: tables.Action) -> int:
-    """The position a knock_rules action grants: an integer in 0..3."""
-    pos = action.param("pos")
+    """The position a knock_rules action grants: a SetAllowed's integer in 0..3."""
+    pos = action.data if action.kind == tables.SET_ALLOWED else None
     if type(pos) is not int or not 0 <= pos <= POS_SERVICE:
         raise tables.SchemaMismatch(
             f"knock_rules action needs an integer 'pos' in 0..3, got {pos!r}")
     return pos
+
+
+def _route_port(action: tables.Action) -> None:
+    """An ipv4_forward Forward action must name its egress port."""
+    if action.kind == tables.FORWARD and action.data is None:
+        raise tables.SchemaMismatch("a Forward route needs a 'port'")
 
 
 def route_installs(routes: dict[Ipv4Address, int]) -> list[tuple[str, Rule]]:
@@ -119,8 +125,10 @@ class P4Switch:
         self.check_mac = Table("check_mac", (KIND_IPV4, KIND_MAC), tables.drop())
         self.check_ports = Table(
             "check_ports", (KIND_PORT_ID,), tables.set_direction(stateful.EXTERNAL))
-        self.knock_rules = Table("knock_rules", (KIND_IPV4, KIND_PORT), tables.no_action())
-        self.ipv4_forward = Table("ipv4_forward", (KIND_IPV4,), tables.drop())
+        self.knock_rules = Table("knock_rules", (KIND_IPV4, KIND_PORT),
+                                 tables.no_action(), require=knock_pos)
+        self.ipv4_forward = Table("ipv4_forward", (KIND_IPV4,), tables.drop(),
+                                  require=_route_port)
         for port in config.internal_ports:
             self.check_ports.insert(Rule((port,), tables.set_direction(stateful.INTERNAL)))
         self.tables: dict[str, Table] = {t.name: t for t in (
@@ -133,7 +141,7 @@ class P4Switch:
         """Whether the ipv4_forward action `route` sends out of an internal port."""
         if route.kind != tables.FORWARD:
             return False
-        _, internal = self.check_ports.lookup((route.param("port"),))
+        _, internal = self.check_ports.lookup((route.data,))
         return internal
 
     def process_packet(self, ingress_port: int,
@@ -181,7 +189,7 @@ class P4Switch:
                 return STAGE_KNOCKING, _NO_KNOCK_STATE, None
             action, _ = self.knock_rules.lookup((src, tcp.dst_port))
             verdict, self.knock_stages[src] = knock_step(
-                stage, action.param("pos"), tcp.is_pure_syn)
+                stage, action.data, tcp.is_pure_syn)
             if verdict.kind != FORWARDED:
                 return STAGE_KNOCKING, verdict, None
 
@@ -194,7 +202,7 @@ class P4Switch:
             out = decrement_ttl(p)
         except TtlExpired:
             return STAGE_FORWARD, _TTL_EXPIRED, None
-        return STAGE_FORWARD, _ROUTED, PacketOut(route.param("port"), out)
+        return STAGE_FORWARD, _ROUTED, PacketOut(route.data, out)
 
     # -- control plane -----------------------------------------------------
 

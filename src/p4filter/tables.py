@@ -4,12 +4,20 @@ Each table has a name, a fixed key schema (an ordered tuple of field kinds),
 a map of installed rules, and a default action returned on miss. A switch
 keeps its tables in a plain name-to-table dict. Keys match exactly — no
 prefixes, no wildcards — which keeps every lookup result reproducible.
+
+A rule is two plain values, its key and its `Action(kind, data)`. As in a
+P4 program, each action kind has a fixed signature: at most one integer
+parameter, declared in `_ACTION_PARAM`, whose value is `data` (None when
+unset). `Table.read_rule` reads the text form a scenario's preinstall spells.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .packet import Ipv4Address, MacAddr
 
@@ -19,11 +27,22 @@ KIND_MAC = "mac"
 KIND_PORT = "port"          # 16-bit L4 port
 KIND_PORT_ID = "port_id"    # switch port number
 
-_KIND_TYPES = {
-    KIND_IPV4: Ipv4Address,
-    KIND_MAC: MacAddr,
-    KIND_PORT: int,
-    KIND_PORT_ID: int,
+# a port key is ASCII decimal with no sign, space, underscore or leading zero
+_PORT_TEXT = re.compile(r"0|[1-9][0-9]{0,4}")
+
+
+def _read_port(text: str) -> int:
+    if _PORT_TEXT.fullmatch(text) is None or int(text) > 0xFFFF:
+        raise ValueError(f"bad port {text!r}: want a decimal number in 0..65535")
+    return int(text)
+
+
+# each key kind's exact type, and the reader of the text the rule dump writes
+_KINDS = {
+    KIND_IPV4: (Ipv4Address, Ipv4Address.from_text),
+    KIND_MAC: (MacAddr, MacAddr.from_text),
+    KIND_PORT: (int, _read_port),
+    KIND_PORT_ID: (int, _read_port),
 }
 
 # Action kinds
@@ -34,7 +53,9 @@ SET_ALLOWED = "SetAllowed"
 SET_DIRECTION = "SetDirection"
 NO_ACTION = "NoAction"
 
-ACTION_KINDS = {FORWARD, DROP, SEND_TO_CONTROLLER, SET_ALLOWED, SET_DIRECTION, NO_ACTION}
+# each action kind's one parameter, or None when it takes none
+_ACTION_PARAM = {FORWARD: "port", SET_ALLOWED: "pos", SET_DIRECTION: "dir",
+                 DROP: None, SEND_TO_CONTROLLER: None, NO_ACTION: None}
 
 
 class TableError(Exception):
@@ -49,57 +70,41 @@ class NotFound(TableError):
     """delete_rule for a key that is not installed."""
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: str
-    params: tuple = ()   # sorted (name, value) pairs; tuple keeps Action hashable
-
-    def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
-            raise ValueError(f"unknown action kind {self.kind!r}")
-
-    @classmethod
-    def make(cls, kind: str, **params) -> "Action":
-        return cls(kind, tuple(sorted(params.items())))
+    data: Optional[int] = None   # the value of the kind's one parameter
 
     @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
-    def param(self, name: str, default=None):
-        """One parameter's value, read without building a dict."""
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
+    def params(self) -> dict:
+        """The `{name: value}` form the rule dump writes; empty when unset."""
+        return {} if self.data is None else {_ACTION_PARAM[self.kind]: self.data}
 
 
 def forward(egress_port: int) -> Action:
-    return Action.make(FORWARD, port=egress_port)
+    return Action(FORWARD, egress_port)
 
 
 def drop() -> Action:
-    return Action.make(DROP)
+    return Action(DROP)
 
 
 def send_to_controller() -> Action:
-    return Action.make(SEND_TO_CONTROLLER)
+    return Action(SEND_TO_CONTROLLER)
 
 
-def set_allowed(**params) -> Action:
-    return Action.make(SET_ALLOWED, **params)
+def set_allowed(pos: Optional[int] = None) -> Action:
+    return Action(SET_ALLOWED, pos)
 
 
 def set_direction(bit: int) -> Action:
-    return Action.make(SET_DIRECTION, dir=bit)
+    return Action(SET_DIRECTION, bit)
 
 
 def no_action() -> Action:
-    return Action.make(NO_ACTION)
+    return Action(NO_ACTION)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     key: tuple
     action: Action
 
@@ -110,11 +115,13 @@ class Table:
     schema: tuple      # tuple of field kinds, e.g. (KIND_IPV4, KIND_MAC)
     default_action: Action
     rules: dict = field(default_factory=dict)
+    # what read_rule checks an action for beyond its kind's signature
+    require: Optional[Callable] = field(default=None, repr=False, compare=False)
     # the exact type of each key field; `type(v) is int` also rejects bool
     key_types: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.key_types = tuple(_KIND_TYPES[kind] for kind in self.schema)
+        self.key_types = tuple(_KINDS[kind][0] for kind in self.schema)
 
     def _check_key(self, key: tuple) -> None:
         if not isinstance(key, tuple) or len(key) != len(self.schema):
@@ -130,6 +137,28 @@ class Table:
         """Install a rule; an existing rule with the same key is replaced."""
         self._check_key(rule.key)
         self.rules[rule.key] = rule
+
+    def read_rule(self, fields: Sequence[str], kind: str, params: dict) -> Rule:
+        """The rule a text key, an action kind and its `{name: value}` params
+        spell; the parameter must be the kind's own, and an integer."""
+        if len(fields) != len(self.schema):
+            self._check_key(tuple(fields))   # raises the arity mismatch
+        key = tuple(_KINDS[schema_kind][1](text)
+                    for schema_kind, text in zip(self.schema, fields))
+        if kind not in _ACTION_PARAM:
+            raise ValueError(f"unknown action kind {kind!r}")
+        name = _ACTION_PARAM[kind]
+        for given in params:
+            if given != name:
+                raise SchemaMismatch(f"action {kind} has no parameter {given!r}")
+        action = Action(kind, params.get(name))
+        # the table's own check first, so its message names what it needs
+        if self.require is not None:
+            self.require(action)
+        if params and type(action.data) is not int:
+            raise SchemaMismatch(
+                f"action parameter {name!r} must be an integer, got {action.data!r}")
+        return Rule(key, action)
 
     def delete(self, key: tuple) -> None:
         self._check_key(key)
@@ -157,7 +186,7 @@ class Table:
         """Audit form: one dict per rule, keys rendered as strings."""
         # each key is rendered once: the entry's key is also its sort key
         out = [{"table": self.name, "key": [str(f) for f in key],
-                "action": rule.action.kind, "params": rule.action.param_dict}
+                "action": rule.action.kind, "params": rule.action.params}
                for key, rule in self.rules.items()]
         out.sort(key=itemgetter("key"))
         return out

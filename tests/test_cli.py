@@ -391,11 +391,16 @@ class TestScenarioInputErrors:
          "action": "Forward"},
         {"switch": "s3", "table": "ipv4_forward", "key": ["10.0.1.3"],
          "action": "Forward", "params": {"port": 0.5}},
+        {"switch": "s2", "table": "check_ip", "key": ["10.0.1.1"],
+         "action": "Teleport"},
+        {"switch": "s2", "table": "check_ip", "key": ["10.0.1.1"],
+         "action": "Drop", "params": {"port": 1}},
     ], ids=["unknown-table", "bad-key-field", "short-key", "long-key",
             "forward-port-list", "key-ip-sign", "key-ip-leading-zero",
             "key-mac-short-parts", "key-port-sign-space-underscore",
             "key-port-arabic-indic-digit", "key-port-70000", "key-port-leading-zero",
-            "forward-no-port", "forward-port-float"])
+            "forward-no-port", "forward-port-float", "unknown-action-kind",
+            "undeclared-param"])
     def test_bad_preinstall_rule_exits_two(self, tmp_path, capsys, rule):
         code = run_scenario_obj(tmp_path, {"events": [],
                                            "preinstall": [rule]})
@@ -430,6 +435,15 @@ class TestScenarioInputErrors:
                           "key": ["10.0.1.1"], "action": "SetAllowed",
                           "params": 5}]},
          "params an object"),
+        ({"preinstall": [{"switch": "s1", "table": "check_ports", "key": [22],
+                          "action": "Drop"}]},
+         "key a list of strings"),
+        ({"preinstall": [{"switch": "s1", "table": "check_ports", "key": [True],
+                          "action": "Drop"}]},
+         "key a list of strings"),
+        ({"preinstall": [{"switch": "s2", "table": "check_ip", "key": [None],
+                          "action": "Drop"}]},
+         "key a list of strings"),
         ({"name": 5, "events": []}, "name must be a string"),
         ({"events": [{"time": 0, "host": ["h1"], "action": "send",
                       "dst": "h3", "dport": 80}]}, "host must be a string"),
@@ -453,9 +467,10 @@ class TestScenarioInputErrors:
              "include_service": "no"}]},
          "include_service must be true or false"),
     ], ids=["time-bool", "seed-bool", "events-null", "events-int",
-            "preinstall-int", "params-int", "name-int", "host-list", "dst-list",
-            "src_ip_of-list", "src_mac_of-object", "sequence_of-list",
-            "name-surrogate", "acl-int", "acl-nul", "include_service-text"])
+            "preinstall-int", "params-int", "key-int", "key-bool", "key-null",
+            "name-int", "host-list", "dst-list", "src_ip_of-list", "src_mac_of-object",
+            "sequence_of-list", "name-surrogate", "acl-int", "acl-nul",
+            "include_service-text"])
     def test_mistyped_section_exits_two(self, tmp_path, capsys, scenario, message):
         assert run_scenario_obj(tmp_path, scenario) == 2
         assert message in capsys.readouterr().err
@@ -636,3 +651,28 @@ class TestEntryPoint:
         result = subprocess.run(["p4filter", *self.cli_args()],
                                 capture_output=True, text=True)
         self.expect_stateless_block(result)
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The runtime stays stdlib-only. In a fresh isolated interpreter,
+    importing every p4filter module loads no top-level module from outside
+    the standard library. Only what those imports add counts: `site` may
+    load third-party hooks of its own before them."""
+    package_dir = os.path.dirname(os.path.abspath(p4filter.__file__))
+    code = ("import importlib, json, pkgutil, sys\n"
+            f"sys.path.insert(0, {os.path.dirname(package_dir)!r})\n"
+            "before = set(sys.modules)\n"
+            "import p4filter\n"
+            "for module in pkgutil.iter_modules(p4filter.__path__):\n"
+            "    importlib.import_module('p4filter.' + module.name)\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    result = subprocess.run([sys.executable, "-I", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    modules = {name[:-3] for name in os.listdir(package_dir)
+               if name.endswith(".py") and name != "__init__.py"}
+    assert {name for name in loaded if name.startswith("p4filter.")} == {
+        "p4filter." + name for name in modules}
+    outside = {name.partition(".")[0] for name in loaded} - {"p4filter"}
+    assert outside - sys.stdlib_module_names == set()

@@ -302,12 +302,11 @@ class TestAllowPath:
         assert present[0].action.kind == tb.SET_ALLOWED
 
         knocks = grouped["knock_rules"]
-        assert [(r.key[1], r.action.param_dict["pos"]) for r in knocks] == [
+        assert [(r.key[1], r.action.data) for r in knocks] == [
             (42929, 0), (8320, 1), (2663, 2), (22, 3)]
         assert all(r.key[0] == ip(H_IP) for r in knocks)
 
-        routes = {r.key[0]: r.action.param_dict["port"]
-        	  for r in grouped["ipv4_forward"]}
+        routes = {r.key[0]: r.action.data for r in grouped["ipv4_forward"]}
         assert routes == {ip("10.0.1.2"): 1, ip("10.0.5.1"): 3}
         assert "check_ip" not in grouped and "check_mac" not in grouped
 
@@ -319,7 +318,7 @@ class TestAllowPath:
         assert len(first["ipv4_forward"]) == 2
         assert set(second) == {"present_table", "knock_rules"}
         other = by_table(c.handle_packet_in("sw_plain", punt_bytes()))
-        assert {r.key[0]: r.action.param("port") for r in other["ipv4_forward"]} == {
+        assert {r.key[0]: r.action.data for r in other["ipv4_forward"]} == {
             ip("10.0.5.1"): 2}
 
     def test_denied_punt_does_not_use_up_the_routes(self, tmp_path):
@@ -393,7 +392,7 @@ class TestIdempotenceAndStability:
         c = build_controller(tmp_path)
         first = by_table(c.handle_packet_in("sw_knock", punt_bytes()))
         second = by_table(c.handle_packet_in("sw_both", punt_bytes()))
-        knocks = lambda g: [(r.key[1], r.action.param_dict["pos"])
+        knocks = lambda g: [(r.key[1], r.action.data)
                             for r in g["knock_rules"]]
         assert knocks(first) == knocks(second)
 

@@ -342,23 +342,20 @@ class TestScenarioErrors:
                                 "action": "SetAllowed"}]})
 
     def test_preinstall_params_may_share_a_name_with_an_argument(self, default_topology):
-        """Action parameters are the scenario's names, whatever they are;
-        none of them may collide with how the action is built."""
-        report = simulate(default_topology, {
-            "name": "x", "seed": 1, "events": [
-                {"time": 0, "host": "h1", "action": "send", "dst": "h3", "dport": 80}],
-            "preinstall": [
-                {"switch": "s1", "table": "ipv4_forward", "key": ["10.0.1.1"],
-                 "action": "Forward", "params": {"kind": 1, "port": 3}},
-                {"switch": "s1", "table": "check_ip", "key": ["10.0.1.1"],
-                 "action": "SetAllowed", "params": {"cls": 1}}]})
-        assert report.hosts["h1"]["delivered"] == 1
-        rules = [r for r in report.rules["s1"] if r["key"] == ["10.0.1.1"]]
-        assert rules == [
-            {"table": "check_ip", "key": ["10.0.1.1"], "action": "SetAllowed",
-             "params": {"cls": 1}},
-            {"table": "ipv4_forward", "key": ["10.0.1.1"], "action": "Forward",
-             "params": {"kind": 1, "port": 3}}]
+        """An action takes only its kind's declared parameter, as a P4
+        action does: a name such as `kind` or `cls` is refused by name,
+        never a crash in how the action is built."""
+        for table, kind, params, given in (
+                ("ipv4_forward", "Forward", {"kind": 1, "port": 3}, "kind"),
+                ("check_ip", "SetAllowed", {"cls": 1}, "cls")):
+            with pytest.raises(InvalidScenario, match=(
+                    f"bad preinstall rule {table} \\['10.0.1.1'\\] on s1: "
+                    f"action {kind} has no parameter '{given}'")):
+                simulate(default_topology, {
+                    "name": "x", "seed": 1, "events": [],
+                    "preinstall": [{"switch": "s1", "table": table,
+                                    "key": ["10.0.1.1"], "action": kind,
+                                    "params": params}]})
 
 
 class TestEmittedFrames:
@@ -536,6 +533,6 @@ class TestRouteHandOut:
         assert allowed
         for sid in allowed:
             installed = sim.network[sid].ipv4_forward.rules
-            assert {key[0]: rule.action.param("port")
+            assert {key[0]: rule.action.data
                     for key, rule in installed.items()} == routes[sid]
         assert handed == Counter({(sid, dst): 1 for sid in allowed for dst in routes[sid]})

@@ -246,7 +246,7 @@ class TestKnockingStage:
 
 def knock_positions(sw):
     """knock_rules as {(source text, port): pos}."""
-    return {(str(src), port): rule.action.param("pos")
+    return {(str(src), port): rule.action.data
             for (src, port), rule in sw.knock_rules.rules.items()}
 
 

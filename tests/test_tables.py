@@ -26,9 +26,9 @@ class TestCreate:
         assert not hit and action.kind == tb.DROP
 
     def test_param_reads_one_value(self):
-        assert tb.forward(7).param("port") == 7
-        assert tb.set_allowed(pos=2).param("pos") == 2
-        assert tb.set_allowed().param("pos") is None
+        assert tb.forward(7).data == 7
+        assert tb.set_allowed(pos=2).data == 2
+        assert tb.set_allowed().data is None
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
@@ -164,15 +164,38 @@ class TestDump:
 
 
 class TestActions:
-    def test_params(self):
-        a = tb.set_allowed(pos=2)
-        assert a.param_dict == {"pos": 2}
-        assert tb.forward(7).param_dict == {"port": 7}
-        assert tb.set_direction(0).param_dict == {"dir": 0}
+    @pytest.mark.parametrize("action, params", [
+        (tb.forward(7), {"port": 7}),
+        (tb.set_allowed(), {}),
+        (tb.set_allowed(pos=2), {"pos": 2}),
+        (tb.set_direction(0), {"dir": 0}),
+        (tb.drop(), {}),
+        (tb.send_to_controller(), {}),
+        (tb.no_action(), {}),
+    ], ids=["forward", "set_allowed", "set_allowed-pos", "set_direction", "drop",
+            "send_to_controller", "no_action"])
+    def test_factory_params_are_the_dumped_dict(self, action, params):
+        t = present_table()
+        t.insert(tb.Rule((IP1,), action))
+        assert action.params == params
+        assert t.dump() == [{"table": "present_table", "key": ["10.0.2.2"],
+                             "action": action.kind, "params": params}]
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            tb.Action("Teleport")
+        with pytest.raises(ValueError, match="unknown action kind 'Teleport'"):
+            present_table().read_rule(["10.0.2.2"], "Teleport", {})
+
+
+class TestReadRule:
+    def test_reads_the_text_the_dump_writes(self):
+        t = tb.Table("knock_rules", (tb.KIND_IPV4, tb.KIND_PORT), tb.no_action())
+        assert t.read_rule(("10.0.2.2", "2222"), tb.SET_ALLOWED, {"pos": 1}) == (
+            (IP1, 2222), tb.set_allowed(pos=1))
+        assert t.read_rule(["10.0.2.2", "0"], tb.DROP, {}) == ((IP1, 0), tb.drop())
+
+    def test_wrong_arity(self):
+        with pytest.raises(tb.SchemaMismatch, match="key arity 2 != schema arity 1"):
+            present_table().read_rule(["10.0.2.2", "1"], tb.DROP, {})
 
 
 @st.composite
@@ -198,7 +221,7 @@ class TestProperties:
         model = {}
         for op, ip, kind in ops:
             if op == "insert":
-                t.insert(tb.Rule((ip,), tb.Action.make(kind)))
+                t.insert(tb.Rule((ip,), tb.Action(kind)))
                 model[ip] = kind
             else:
                 try:
@@ -224,7 +247,7 @@ class TestProperties:
             t = present_table()
             for op, ip, kind in ops:
                 if op == "insert":
-                    t.insert(tb.Rule((ip,), tb.Action.make(kind)))
+                    t.insert(tb.Rule((ip,), tb.Action(kind)))
                 else:
                     try:
                         t.delete((ip,))
@@ -241,7 +264,7 @@ class TestProperties:
         t = present_table()
         for op, ip, kind in ops:
             if op == "insert":
-                t.insert(tb.Rule((ip,), tb.Action.make(kind)))
+                t.insert(tb.Rule((ip,), tb.Action(kind)))
             else:
                 try:
                     t.delete((ip,))

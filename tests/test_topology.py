@@ -73,7 +73,7 @@ class TestDefaultTopology:
         for port, expect_hit in ((1, True), (2, True), (3, False)):
             action, hit = table.lookup((port,))
             assert hit == expect_hit
-            assert action.param_dict["dir"] == (0 if expect_hit else 1)
+            assert action.data == (0 if expect_hit else 1)
 
 
 class TestValidation:
