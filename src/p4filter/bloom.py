@@ -31,12 +31,19 @@ def bloom_hash(key: FlowKey, hash_id: int, m: int) -> int:
         raise ValueError(f"m must be a power of two, got {m}")
     a_ip, b_ip, a_port, b_port = key
     h = _FNV_OFFSET ^ ((hash_id * _SEED_MULT) & _MASK64)
-    for b in a_ip + b_ip:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    # A round's XOR with a byte touches only the low 8 bits, so reducing
+    # mod 2^64 once after several rounds gives what reducing after each one
+    # gives; the reductions only keep the integer short.
+    for b in a_ip:
+        h = (h ^ b) * _FNV_PRIME
+    h &= _MASK64
+    for b in b_ip:
+        h = (h ^ b) * _FNV_PRIME
+    h &= _MASK64
     # the ports, one byte a round
-    h = ((h ^ (a_port >> 8)) * _FNV_PRIME) & _MASK64
-    h = ((h ^ (a_port & 0xFF)) * _FNV_PRIME) & _MASK64
-    h = ((h ^ (b_port >> 8)) * _FNV_PRIME) & _MASK64
+    h = (h ^ (a_port >> 8)) * _FNV_PRIME
+    h = (h ^ (a_port & 0xFF)) * _FNV_PRIME
+    h = (h ^ (b_port >> 8)) * _FNV_PRIME
     h = ((h ^ (b_port & 0xFF)) * _FNV_PRIME) & _MASK64
     h ^= h >> 30
     h = (h * 0xBF58476D1CE4E5B9) & _MASK64
@@ -83,10 +90,19 @@ class BloomPair:
     def sized(cls, m: int) -> "BloomPair":
         return cls(BloomFilter(m=m, hash_id=1), BloomFilter(m=m, hash_id=2))
 
+    # The pair sets and tests each filter's bit itself, as BloomFilter's
+    # insert and contains do, without their call: every stateful pass on
+    # the switch makes one of these calls.
     def insert(self, key: FlowKey) -> None:
-        self.f1.insert(key)
-        self.f2.insert(key)
+        f1, f2 = self.f1, self.f2
+        f1.bits |= 1 << bloom_hash(key, f1.hash_id, f1.m)
+        f1.inserted_count += 1
+        f2.bits |= 1 << bloom_hash(key, f2.hash_id, f2.m)
+        f2.inserted_count += 1
 
     def contains(self, key: FlowKey) -> bool:
-        """Membership requires BOTH filters to agree (AND semantics)."""
-        return self.f1.contains(key) and self.f2.contains(key)
+        """Membership requires BOTH filters to agree (AND semantics); the
+        second filter is not hashed when the first says no."""
+        f1, f2 = self.f1, self.f2
+        return bool(f1.bits >> bloom_hash(key, f1.hash_id, f1.m) & 1
+                    and f2.bits >> bloom_hash(key, f2.hash_id, f2.m) & 1)

@@ -90,8 +90,13 @@ class MacAddr(bytes):
     def __repr__(self) -> str:
         return f"MacAddr(octets={bytes(self)!r})"
 
+    @cached_property
+    def text(self) -> str:
+        """The colon-separated lowercase hex text, rendered once, in C."""
+        return self.hex(":")
+
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self)
+        return self.text
 
 
 class Ipv4Address(bytes):
@@ -124,6 +129,13 @@ class Ipv4Address(bytes):
 # The headers and the packet are NamedTuples: every forwarding hop rebuilds
 # two of them, and a tuple is built at a fraction of a frozen dataclass's
 # cost. TcpHeader is a NamedTuple subclass whose __new__ checks the ports.
+# Where the fields are already checked, the hot path builds a value with
+# _new_tuple(cls, fields) instead of cls(*fields): a NamedTuple class call
+# runs a Python-level __new__, tuple.__new__ runs in C, and both give the
+# same value of the same class.
+_new_tuple = tuple.__new__
+
+
 class EthernetHeader(NamedTuple):
     dst_mac: MacAddr
     src_mac: MacAddr
@@ -294,12 +306,13 @@ def parse_packet(frame: bytes) -> Packet:
 def decrement_ttl(p: Packet) -> Packet:
     """One forwarding hop: ttl - 1, and nothing else. Raises TtlExpired
     when the incoming ttl is already 0."""
-    ip = p.ip
-    if ip.ttl == 0:
+    eth, ip, tcp, payload = p
+    src_ip, dst_ip, ttl, protocol, total_length, tos, identification, flags_frag = ip
+    if ttl == 0:
         raise TtlExpired("ttl is 0")
-    new_ip = Ipv4Header(ip.src_ip, ip.dst_ip, ip.ttl - 1, ip.protocol, ip.total_length,
-                        ip.tos, ip.identification, ip.flags_frag)
-    return Packet(p.eth, new_ip, p.tcp, p.payload)
+    return _new_tuple(Packet, (eth, _new_tuple(Ipv4Header, (
+        src_ip, dst_ip, ttl - 1, protocol, total_length, tos, identification,
+        flags_frag)), tcp, payload))
 
 
 def flow_key(p: Packet, direction: int) -> FlowKey:
@@ -310,9 +323,9 @@ def flow_key(p: Packet, direction: int) -> FlowKey:
     """
     _, ip, tcp, _ = p
     if direction == 0:
-        return FlowKey(ip.src_ip, ip.dst_ip, tcp.src_port, tcp.dst_port)
+        return _new_tuple(FlowKey, (ip.src_ip, ip.dst_ip, tcp.src_port, tcp.dst_port))
     if direction == 1:
-        return FlowKey(ip.dst_ip, ip.src_ip, tcp.dst_port, tcp.src_port)
+        return _new_tuple(FlowKey, (ip.dst_ip, ip.src_ip, tcp.dst_port, tcp.src_port))
     raise ValueError(f"direction must be 0 or 1, got {direction}")
 
 
@@ -337,9 +350,9 @@ def make_packet(src_ip: str | Ipv4Address, dst_ip: str | Ipv4Address,
     total_length = IPV4_LEN + TCP_LEN + len(payload)
     if total_length > 0xFFFF:
         raise ValueError(f"total_length {total_length} exceeds 65535")
-    return Packet(
-        EthernetHeader(dst_mac, src_mac),
-        Ipv4Header(src_ip, dst_ip, ttl, PROTO_TCP, total_length),
-        TcpHeader(sport, dport, flags, seq, ack),
+    return _new_tuple(Packet, (
+        _new_tuple(EthernetHeader, (dst_mac, src_mac, ETHERTYPE_IPV4)),
+        _new_tuple(Ipv4Header, (src_ip, dst_ip, ttl, PROTO_TCP, total_length, 0, 0, 0)),
+        TcpHeader(sport, dport, flags, seq, ack),    # its __new__ checks the ports
         payload,
-    )
+    ))

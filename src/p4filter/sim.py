@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .controller import ALLOW, AclEntry, Controller, SequenceStore
-from .packet import SYN, Ipv4Address, Packet, make_packet, serialize_packet
+from .packet import SYN, Ipv4Address, make_packet, serialize_packet
 from .render import TraceRows, render
 from .scenario import (COUNTERS, InvalidScenario, NoSequence, ScenarioSpec, SendAction,
                        knock_client)
@@ -156,9 +156,9 @@ class Simulator:
         stats = self._stats[sender]
         for offset, dport in probes:
             packet = make_packet(
-                src_ip=src_ip, dst_ip=target.ip, src_mac=src_mac, dst_mac=target.mac,
-                sport=sport if sport is not None else self._next_sport(sender),
-                dport=dport, flags=flags, ttl=ttl, payload=payload)
+                src_ip, target.ip, src_mac, target.mac,
+                sport if sport is not None else self._next_sport(sender),
+                dport, flags, ttl, payload)
             stats["sent"] += 1
             self._push(time + offset, ("packet", sender, host.switch, host.port, packet))
 
@@ -205,42 +205,48 @@ class Simulator:
         for event in scenario.events:
             self._push(event.time, ("event", event.host, event.action))
 
-        buckets, ticks = self._buckets, self._ticks
+        # Each switch pass runs inline, over local names. A forward goes
+        # straight into the next tick's bucket when it exists: a later tick
+        # can never reverse time. Every other schedule goes through _push.
+        buckets, ticks, heappop = self._buckets, self._ticks, heapq.heappop
+        network, links, host_ports = self.network, self.links, self.host_ports
+        stats, add_row, push = self._stats, self._trace.append, self._push
         while ticks:
-            time = self._now = heapq.heappop(ticks)
+            time = self._now = heappop(ticks)
             for item in buckets[time]:
                 if item[0] == "event":
                     _, sender, action = item
                     self._expand(time, sender, action)
+                    continue
+                _, sender, switch_id, ingress_port, packet = item
+                switch = network[switch_id]
+                stage, (kind, reason), out = switch.process_packet(ingress_port, packet)
+                _, ip, tcp, _ = packet
+                # one row per pass, its fields in render.TRACE_FIELDS order
+                add_row((time, switch_id, kind, stage, ip.src_ip.text, ip.dst_ip.text,
+                         tcp.src_port, tcp.dst_port, reason))
+                if kind == FORWARDED:
+                    egress = (switch_id, out.egress_port)
+                    peer = links.get(egress)
+                    if peer is not None:
+                        hop = ("packet", sender, *peer, out.packet)
+                        next_bucket = buckets.get(time + 1)
+                        if next_bucket is None:
+                            push(time + 1, hop)
+                        else:
+                            next_bucket.append(hop)
+                        continue
+                    # out of a host's port, or of one with nothing attached
+                    counter = "delivered" if egress in host_ports else "dropped"
                 else:
-                    _, sender, switch_id, ingress_port, packet = item
-                    self._process_at_switch(time, sender, switch_id, ingress_port, packet)
+                    if kind == PUNTED:
+                        switch.apply_rule_install(self.controller.handle_packet_in(
+                            switch_id, serialize_packet(out.packet)))
+                    counter = _COUNTER_OF[kind]
+                stats[sender][counter] += 1
             del buckets[time]
 
         return self._report(scenario)
-
-    def _process_at_switch(self, time: int, sender: str, switch_id: str,
-                           ingress_port: int, packet: Packet) -> None:
-        switch = self.network[switch_id]
-        stage, (kind, reason), out = switch.process_packet(ingress_port, packet)
-        _, ip, tcp, _ = packet
-        # one row per pass, its fields in render.TRACE_FIELDS order
-        self._trace.append((time, switch_id, kind, stage, ip.src_ip.text, ip.dst_ip.text,
-                            tcp.src_port, tcp.dst_port, reason))
-        if kind == FORWARDED:
-            egress = (switch_id, out.egress_port)
-            peer = self.links.get(egress)
-            if peer is not None:
-                self._push(time + 1, ("packet", sender, *peer, out.packet))
-                return
-            # out of a host's port, or of one with nothing attached
-            counter = "delivered" if egress in self.host_ports else "dropped"
-        else:
-            if kind == PUNTED:
-                switch.apply_rule_install(self.controller.handle_packet_in(
-                    switch_id, serialize_packet(out.packet)))
-            counter = _COUNTER_OF[kind]
-        self._stats[sender][counter] += 1
 
     # -- reporting ---------------------------------------------------------
 

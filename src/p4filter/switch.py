@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import stateful, stateless, tables
 from .bloom import DEFAULT_M, BloomPair
 from .knocking import POS_SERVICE, knock_step
-from .packet import Ipv4Address, Packet, TtlExpired, decrement_ttl
+from .packet import Ipv4Address, Packet, TtlExpired, _new_tuple, decrement_ttl
 from .tables import Rule, Table, KIND_IPV4, KIND_MAC, KIND_PORT, KIND_PORT_ID
 from .verdict import DROPPED, FORWARDED, PUNTED, Verdict
 
@@ -202,7 +202,7 @@ class P4Switch:
             out = decrement_ttl(p)
         except TtlExpired:
             return STAGE_FORWARD, _TTL_EXPIRED, None
-        return STAGE_FORWARD, _ROUTED, PacketOut(route.data, out)
+        return STAGE_FORWARD, _ROUTED, _new_tuple(PacketOut, (route.data, out))
 
     # -- control plane -----------------------------------------------------
 

@@ -133,10 +133,19 @@ class Table:
                 raise SchemaMismatch(
                     f"{self.name}: field {value!r} is not a {kind}")
 
+    # insert, delete and lookup run _check_key's rule inlined for the one-
+    # and two-field schemas of the pipeline's tables; any other key goes
+    # through _check_key, which raises on a bad one
+
     def insert(self, rule: Rule) -> None:
         """Install a rule; an existing rule with the same key is replaced."""
-        self._check_key(rule.key)
-        self.rules[rule.key] = rule
+        key, types = rule.key, self.key_types
+        if type(key) is not tuple or len(key) != len(types) or not (
+                len(key) == 1 and type(key[0]) is types[0]
+                or len(key) == 2 and type(key[0]) is types[0]
+                and type(key[1]) is types[1]):
+            self._check_key(key)
+        self.rules[key] = rule
 
     def read_rule(self, fields: Sequence[str], kind: str, params: dict) -> Rule:
         """The rule a text key, an action kind and its `{name: value}` params
@@ -161,16 +170,18 @@ class Table:
         return Rule(key, action)
 
     def delete(self, key: tuple) -> None:
-        self._check_key(key)
+        types = self.key_types
+        if type(key) is not tuple or len(key) != len(types) or not (
+                len(key) == 1 and type(key[0]) is types[0]
+                or len(key) == 2 and type(key[0]) is types[0]
+                and type(key[1]) is types[1]):
+            self._check_key(key)
         if key not in self.rules:
             raise NotFound(f"{self.name}: no rule for {key!r}")
         del self.rules[key]
 
     def lookup(self, key: tuple) -> tuple[Action, bool]:
         """(installed action, True) on hit; (default action, False) on miss."""
-        # _check_key's rule, inlined for the one- and two-field schemas of the
-        # pipeline's tables; any other key goes through _check_key, which
-        # raises on a bad one
         types = self.key_types
         if type(key) is not tuple or len(key) != len(types) or not (
                 len(key) == 1 and type(key[0]) is types[0]

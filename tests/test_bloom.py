@@ -98,6 +98,12 @@ class TestUnrolledHash:
         f = BloomFilter(m=m, hash_id=hash_id)
         f.insert(key)
         assert f.bits == 1 << index and f.contains(key)
+        # the pair hashes for each of its filters itself
+        pair = BloomPair.sized(m)
+        pair.insert(key)
+        member = pair.f1 if hash_id == 1 else pair.f2
+        assert member.bits == 1 << index and member.inserted_count == 1
+        assert pair.contains(key) is True
 
 
 class TestBloomFilter:
@@ -162,6 +168,20 @@ class TestBloomPair:
         for key in probes:
             both = pair.f1.contains(key) and pair.f2.contains(key)
             assert pair.contains(key) == both
+
+    def test_a_miss_in_the_first_filter_skips_the_second(self, monkeypatch):
+        calls = []
+
+        def counted(key, hash_id, m):
+            calls.append(hash_id)
+            return bloom_hash(key, hash_id, m)
+
+        monkeypatch.setattr("p4filter.bloom.bloom_hash", counted)
+        pair, key = BloomPair(), fk(1, 2, 3000, 80)
+        assert pair.contains(key) is False and calls == [1]
+        pair.insert(key)
+        assert calls == [1, 1, 2]
+        assert pair.contains(key) is True and calls == [1, 1, 2, 1, 2]
 
     def test_pair_no_looser_than_single(self):
         """Requiring both hashes can only shrink the accepted set."""

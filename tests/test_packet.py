@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p4filter import packet as pk
+from p4filter import tables
+from p4filter.switch import P4Switch, PacketOut, SwitchConfig
+from p4filter.verdict import FORWARDED
 
 # Frames cross-checked against an independently written byte-layout and
 # checksum builder; treat as frozen.
@@ -259,11 +262,14 @@ class TestMakePacket:
         ({"ttl": -1}, "TTL -1 outside 0..255"),
         ({"ttl": 256}, "TTL 256 outside 0..255"),
         ({"payload": bytes(0xFFFF - 39)}, "total_length 65536 exceeds 65535"),
+        ({"sport": 70000}, "TCP port out of range"),
+        ({"dport": -1}, "TCP port out of range"),
     ])
     def test_out_of_range_fields_raise_value_error(self, fields, message):
+        args = {"sport": 1234, "dport": 80, **fields}
         with pytest.raises(ValueError, match=message):
             pk.make_packet("10.0.1.1", "10.0.3.3", "02:00:00:00:01:01",
-                           "02:00:00:00:03:03", 1234, 80, **fields)
+                           "02:00:00:00:03:03", **args)
 
     def test_longest_payload_round_trips(self):
         p = pk.make_packet("10.0.1.1", "10.0.3.3", "02:00:00:00:01:01",
@@ -323,6 +329,64 @@ class TestFlowKey:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             pk.flow_key(self._packet(), 2)
+
+
+_ipv4 = st.binary(min_size=4, max_size=4).map(pk.Ipv4Address)
+_mac = st.binary(min_size=6, max_size=6).map(pk.MacAddr)
+
+
+def _types(value):
+    """The exact class of a value and, for a packet, of each header."""
+    if type(value) is pk.Packet:
+        return [type(value)] + [type(header) for header in value[:3]]
+    return [type(value)]
+
+
+class TestHopValues:
+    """make_packet, decrement_ttl, flow_key and a routed pass build their
+    values with tuple.__new__ once the fields are checked; each is the value
+    the NamedTuple class call builds, of exactly that class."""
+
+    @given(src=_ipv4, dst=_ipv4, src_mac=_mac, dst_mac=_mac,
+           sport=st.integers(0, 65535), dport=st.integers(0, 65535),
+           flags=st.integers(0, 63), ttl=st.integers(0, 255),
+           payload=st.binary(max_size=64), seq=st.integers(0, 2**32 - 1),
+           ack=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_hop_values_are_the_class_calls(self, src, dst, src_mac, dst_mac, sport,
+                                            dport, flags, ttl, payload, seq, ack):
+        p = pk.make_packet(src, dst, src_mac, dst_mac, sport, dport, flags, ttl,
+                           payload, seq, ack)
+        built = pk.Packet(
+            eth=pk.EthernetHeader(dst_mac=dst_mac, src_mac=src_mac),
+            ip=pk.Ipv4Header(src_ip=src, dst_ip=dst, ttl=ttl,
+                             total_length=pk.IPV4_LEN + pk.TCP_LEN + len(payload)),
+            tcp=pk.TcpHeader(src_port=sport, dst_port=dport, flags=flags, seq=seq,
+                             ack=ack),
+            payload=payload)
+        assert p == built and _types(p) == _types(built)
+        assert hash(p) == hash(built) and repr(p) == repr(built)
+
+        for direction, fields in ((0, (src, dst, sport, dport)),
+                                  (1, (dst, src, dport, sport))):
+            key = pk.flow_key(p, direction)
+            assert key == pk.FlowKey(*fields) and type(key) is pk.FlowKey
+
+        if ttl == 0:
+            with pytest.raises(pk.TtlExpired):
+                pk.decrement_ttl(p)
+            return
+        hop = pk.decrement_ttl(p)
+        expected = pk.Packet(p.eth, pk.Ipv4Header(*p.ip[:2], ttl - 1, *p.ip[3:]),
+                             p.tcp, p.payload)
+        assert hop == expected and _types(hop) == _types(expected)
+
+        sw = P4Switch(SwitchConfig(switch_id="s1", ports=(1, 2)))
+        sw.ipv4_forward.insert(tables.Rule((dst,), tables.forward(2)))
+        stage, verdict, out = sw.process_packet(1, p)
+        assert (stage, verdict.kind) == ("forward", FORWARDED)
+        assert out == PacketOut(2, expected) and type(out) is PacketOut
+        assert _types(out.packet) == _types(expected)
 
 
 class TestAddressText:
@@ -392,6 +456,14 @@ class TestAddressValues:
         a = pk.Ipv4Address.from_text("10.0.1.2")
         assert str(a) is str(a) is a.text
         assert str(pk.Ipv4Address(bytes(a))) == "10.0.1.2"
+        mac = pk.MacAddr.from_text("02:ab:00:0f:10:ff")
+        assert str(mac) is str(mac) is mac.text
+        assert str(pk.MacAddr(bytes(mac))) == "02:ab:00:0f:10:ff"
+
+    @given(mac=_mac)
+    def test_mac_text_is_two_lowercase_hex_digits_an_octet(self, mac):
+        text = ":".join(f"{b:02x}" for b in mac)
+        assert str(mac) == text and pk.MacAddr.from_text(text) == mac
 
 
 def test_random_frame_loop_round_trip():

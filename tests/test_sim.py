@@ -137,6 +137,25 @@ def test_workload_lookups_per_table(monkeypatch):
                          ("s5", "ipv4_forward"): 3000}
 
 
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_hot_path_calls_the_names_the_tracer_times(name, default_topology):
+    """The benchmark's per-layer metrics come from wrappers that
+    bench/tracing.py puts on each name where its caller reads it. A fast
+    path that skipped one of those names would leave its metrics empty, so
+    the counts must still be the report's."""
+    tracing = load_bench("tracing")
+    recorder = tracing.SpanRecorder()
+    with tracing.traced(recorder):
+        report, _ = run_bundled(name, default_topology)
+    calls = tracing.layer_stats(recorder)
+    records = list(report.trace)
+    assert calls["switch.process_packet.calls"] == len(records) > 0
+    assert calls.get("packet.decrement_ttl.calls", 0) == sum(
+        r["reason"] in ("forwarded", "ttl expired") for r in records)
+    assert calls["packet.make_packet.calls"] == sum(
+        counters["sent"] for counters in report.hosts.values())
+
+
 class TestNoTeleportation:
     """Unique flow tuples let the trace be split into per-packet journeys;
     each journey must start at the sender's own switch and advance one

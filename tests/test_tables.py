@@ -95,11 +95,39 @@ class TestInsertLookup:
         with pytest.raises(tb.SchemaMismatch):
             macs.lookup((field, MAC1))
 
+    @pytest.mark.parametrize("field", [b"\n\x00\x02\x02", "10.0.2.2", True],
+                             ids=["bytes", "str", "bool"])
+    def test_raw_value_insert_and_delete_are_refused(self, field):
+        """insert and delete check a key as lookup does: a raw-bytes key
+        neither installs a rule nor removes the one its address holds."""
+        t = present_table()
+        t.insert(tb.Rule((IP1,), tb.set_allowed()))
+        macs = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
+        macs.insert(tb.Rule((IP1, MAC1), tb.set_allowed()))
+        before = (dict(t.rules), dict(macs.rules))
+        for table, key in ((t, (field,)), (macs, (IP1, bytes(MAC1))),
+                           (macs, (field, MAC1))):
+            with pytest.raises(tb.SchemaMismatch):
+                table.insert(tb.Rule(key, tb.drop()))
+            with pytest.raises(tb.SchemaMismatch):
+                table.delete(key)
+        assert (t.rules, macs.rules) == before
+
     @pytest.mark.parametrize("key", [[IP1], (IP1, IP1), (), IP1],
                              ids=["list", "two-fields", "empty", "bare-address"])
     def test_lookup_of_a_misshapen_key(self, key):
         with pytest.raises(tb.SchemaMismatch):
             present_table().lookup(key)
+
+    @pytest.mark.parametrize("key", [[IP1], (IP1, IP1), (), IP1],
+                             ids=["list", "two-fields", "empty", "bare-address"])
+    def test_insert_and_delete_of_a_misshapen_key(self, key):
+        t = present_table()
+        with pytest.raises(tb.SchemaMismatch, match="arity"):
+            t.insert(tb.Rule(key, tb.drop()))
+        with pytest.raises(tb.SchemaMismatch, match="arity"):
+            t.delete(key)
+        assert t.rules == {}
 
     def test_replacement_semantics(self):
         t = present_table()
