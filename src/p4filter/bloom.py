@@ -64,13 +64,6 @@ class BloomFilter:
         if self.m <= 0 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two, got {self.m}")
 
-    def insert(self, key: FlowKey) -> None:
-        self.bits |= 1 << bloom_hash(key, self.hash_id, self.m)
-        self.inserted_count += 1
-
-    def contains(self, key: FlowKey) -> bool:
-        return bool(self.bits >> bloom_hash(key, self.hash_id, self.m) & 1)
-
     def popcount(self) -> int:
         return self.bits.bit_count()
 
@@ -90,9 +83,8 @@ class BloomPair:
     def sized(cls, m: int) -> "BloomPair":
         return cls(BloomFilter(m=m, hash_id=1), BloomFilter(m=m, hash_id=2))
 
-    # The pair sets and tests each filter's bit itself, as BloomFilter's
-    # insert and contains do, without their call: every stateful pass on
-    # the switch makes one of these calls.
+    # The pair sets and tests each member filter's bit itself: a filter has
+    # no insert or query of its own, so the bit rule is written once, here.
     def insert(self, key: FlowKey) -> None:
         f1, f2 = self.f1, self.f2
         f1.bits |= 1 << bloom_hash(key, f1.hash_id, f1.m)

@@ -2,12 +2,15 @@
 
 `render(doc)` returns `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`
 for a run report's fields as `Simulator._report` builds them. With
-`indent` set, json leaves its C encoder, so the bulk sections fill `%`
-templates: a `TraceRows` "trace" (`time`, `sport` and `dport` ints, the
-rest strings), and the "rules" `Table.dump` entries (strings, a non-empty
-list of strings as "key", string names to ints as "params"). The small
-sections, and a trace given as a list of record dicts, go through
-`json.dumps`. Each distinct string and `params` object is escaped once.
+`indent` set, json leaves its C encoder, so the bulk sections are written
+from rows. A `TraceRows` "trace" fills one `%` template per record
+(`time`, `sport` and `dport` ints, the rest strings). Each switch's
+`RuleRows` under "rules" holds `Table.dump` rows; every distinct
+(table, action kind, data) shape gets the text of its entries before and
+after the key once, and each rule is that head, its escaped key texts and
+that tail, joined with the rest, so no name is read as a format directive.
+The small sections, and a trace given as a list of record dicts, go
+through `json.dumps`. Each distinct string is escaped once.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import json
 import operator
 from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
+
+from .tables import Action
 
 # The fields of a trace row, in the order the simulator writes them.
 TRACE_FIELDS = (
@@ -30,23 +35,13 @@ _TRACE_RECORD = (
     '      "switch": %s,\n      "time": %d,\n      "verdict": %s\n'
     '    }')
 
-# A rule-dump entry as an item of one switch's list under the top-level
-# "rules" object, at indent 6, after its separator.
-_RULE_ENTRY = (
-    ',\n      {\n'
-    '        "action": %s,\n'
-    '        "key": [\n          %s\n        ],\n'
-    '        "params": %s,\n'
-    '        "table": %s\n'
-    '      }')
-# the separator of "key" items and "params" members, at indent 10
+# the separator of a rule entry's "key" items and "params" members, at indent 10
 _RULE_SEP = ',\n          '
 
 
-class TraceRows(Sequence):
-    """The simulator's trace: a read-only view over its rows, one tuple of
-    `TRACE_FIELDS` per switch pass, that yields each record as a fresh
-    dict with the keys in that order."""
+class _Rows(Sequence):
+    """A read-only view over a list of row tuples that yields each row as a
+    fresh record dict, built by the subclass's `record`."""
 
     def __init__(self, rows: list[tuple]):
         self.rows = rows
@@ -55,17 +50,37 @@ class TraceRows(Sequence):
         return len(self.rows)
 
     def __getitem__(self, i: int) -> dict:
-        return dict(zip(TRACE_FIELDS, self.rows[operator.index(i)]))
+        return self.record(self.rows[operator.index(i)])
 
     def __iter__(self):
-        for row in self.rows:
-            yield dict(zip(TRACE_FIELDS, row))
+        return map(self.record, self.rows)
 
     def __eq__(self, other):
-        # so reports compare as they did when the trace was a list of dicts
-        if type(other) is TraceRows:
+        # so reports compare as they did when these were lists of dicts
+        if type(other) is type(self):
             return self.rows == other.rows
         return list(self) == other if type(other) is list else NotImplemented
+
+
+class TraceRows(_Rows):
+    """The simulator's trace: one tuple of `TRACE_FIELDS` per switch pass,
+    each read as a dict with the keys in that order."""
+
+    @staticmethod
+    def record(row: tuple) -> dict:
+        return dict(zip(TRACE_FIELDS, row))
+
+
+class RuleRows(_Rows):
+    """One switch's installed rules: its tables' `Table.dump` rows, one
+    `(table, key texts, action kind, data)` tuple per rule, each read as a
+    `{"table", "key", "action", "params"}` dict."""
+
+    @staticmethod
+    def record(row: tuple) -> dict:
+        table, key, kind, data = row
+        return {"table": table, "key": list(key), "action": kind,
+                "params": Action(kind, data).params}
 
 
 class _Strings(dict):
@@ -76,19 +91,33 @@ class _Strings(dict):
         return text
 
 
-def _items(out: list[str], close: str, pieces: list[str]) -> None:
-    """Append the list of `pieces`, each led by its "," separator; "[]" if none."""
-    if pieces:
-        pieces[0] = "[" + pieces[0][1:]
-        pieces.append(close)
-    out += pieces or ["[]"]
+def _close_list(out: list[str], start: int, close: str) -> None:
+    """Make the pieces from `out[start]` on a list, its items each led by a
+    "," separator: the first one's becomes "["; "[]" if there are none."""
+    if len(out) > start:
+        out[start] = "[" + out[start][1:]
+        out.append(close)
+    else:
+        out.append("[]")
+
+
+def _rule_shape(text: _Strings, table: str, kind: str, data) -> tuple[str, str]:
+    """The text of a rule entry of one (table, kind, data) shape, as an item
+    of a switch's rules list at indent 6, before its key texts and after."""
+    params = Action(kind, data).params
+    params_text = ("{\n          " + _RULE_SEP.join(
+        text[name] + ": %d" % value for name, value in sorted(params.items()))
+        + "\n        }") if params else "{}"
+    return (',\n      {\n        "action": ' + text[kind] + ',\n        "key": [\n          ',
+            '\n        ],\n        "params": ' + params_text
+            + ',\n        "table": ' + text[table] + '\n      }')
 
 
 def render(doc: dict) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, joined once, for
-    a run report's fields; a `TraceRows` renders as its list of records."""
+    a run report's fields; a `TraceRows` renders as its list of records, and
+    each switch's `RuleRows` as its list of rules."""
     text = _Strings()
-    params_text = {(): "{}"}   # the text, at indent 8, of each distinct rule "params"
     # json.dumps before the bulk pieces: run after them, it kept one more
     # 1 MiB allocator arena resident once the render returned
     small = {name: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
@@ -100,25 +129,26 @@ def render(doc: dict) -> str:
         if name in small:
             out.append(small[name])
         elif name == "trace":
-            _items(out, "\n  ]", [_TRACE_RECORD % (
+            start = len(out)
+            out += [_TRACE_RECORD % (
                 dport, text[dst], text[reason], sport, text[src],
                 text[stage], text[switch], time, text[verdict])
                 for time, switch, verdict, stage, src, dst, sport, dport, reason
-                in value.rows])
+                in value.rows]
+            _close_list(out, start, "\n  ]")
         else:
+            shapes = {}   # (table, kind, data) -> the head and tail of its entries
+            key_text = text.__getitem__
             for i, switch in enumerate(sorted(value)):
                 out.append(("," if i else "{") + "\n    " + text[switch] + ": ")
-                entries = []
-                for entry in value[switch]:
-                    pairs = tuple(entry["params"].items())
-                    if pairs not in params_text:
-                        params_text[pairs] = "{\n          %s\n        }" % _RULE_SEP.join(
-                            "%s: %d" % (text[k], v) for k, v in sorted(pairs))
-                    entries.append(_RULE_ENTRY % (
-                        text[entry["action"]],
-                        _RULE_SEP.join(map(text.__getitem__, entry["key"])),
-                        params_text[pairs], text[entry["table"]]))
-                _items(out, "\n    ]", entries)
+                start = len(out)
+                for table, key, kind, data in value[switch].rows:
+                    shape = shapes.get((table, kind, data))
+                    if shape is None:
+                        shape = shapes[table, kind, data] = _rule_shape(
+                            text, table, kind, data)
+                    out += (shape[0], _RULE_SEP.join(map(key_text, key)), shape[1])
+                _close_list(out, start, "\n    ]")
             out.append("\n  }")
     out.append("\n}\n")
     return "".join(out)

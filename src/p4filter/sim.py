@@ -23,7 +23,7 @@ from typing import Optional
 
 from .controller import ALLOW, AclEntry, Controller, SequenceStore
 from .packet import SYN, Ipv4Address, make_packet, serialize_packet
-from .render import TraceRows, render
+from .render import RuleRows, TraceRows, render
 from .scenario import (COUNTERS, InvalidScenario, NoSequence, ScenarioSpec, SendAction,
                        knock_client)
 from .tables import TableError
@@ -50,7 +50,7 @@ class RunReport:
     seed: int
     trace: Sequence     # the simulator's TraceRows; a list of records renders too
     hosts: dict
-    rules: dict
+    rules: dict         # switch id -> its RuleRows
     sequences: dict
     knock_stages: dict
 
@@ -58,12 +58,13 @@ class RunReport:
         doc = dict(vars(self))
         if type(self.trace) is TraceRows:
             doc["trace"] = list(self.trace)
+        doc["rules"] = {sid: list(rules) for sid, rules in self.rules.items()}
         return doc
 
     def canonical_text(self) -> str:
         """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)` plus
-        a newline, rendered from the trace rows without building their
-        dicts (see `render`)."""
+        a newline, rendered from the trace and rule rows without building
+        their dicts (see `render`)."""
         return render(vars(self))
 
     def conservation_holds(self) -> bool:
@@ -264,8 +265,8 @@ class Simulator:
             seed=self.seed,
             trace=TraceRows(list(self._trace)),
             hosts={name: dict(c) for name, c in sorted(self._stats.items())},
-            rules={sid: [row for _, table in sorted(self.network[sid].tables.items())
-                         for row in table.dump()]
+            rules={sid: RuleRows([row for _, table in sorted(self.network[sid].tables.items())
+                                  for row in table.dump()])
                    for sid in sorted(self.network)},
             sequences=self.store.to_json_dict(),
             knock_stages=knock_stages,

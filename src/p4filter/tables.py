@@ -76,7 +76,8 @@ class Action(NamedTuple):
 
     @property
     def params(self) -> dict:
-        """The `{name: value}` form the rule dump writes; empty when unset."""
+        """The `{name: value}` form a report's rule record holds; empty when
+        unset."""
         return {} if self.data is None else {_ACTION_PARAM[self.kind]: self.data}
 
 
@@ -193,11 +194,12 @@ class Table:
             return self.default_action, False
         return rule.action, True
 
-    def dump(self) -> list[dict]:
-        """Audit form: one dict per rule, keys rendered as strings."""
-        # each key is rendered once: the entry's key is also its sort key
-        out = [{"table": self.name, "key": [str(f) for f in key],
-                "action": rule.action.kind, "params": rule.action.params}
+    def dump(self) -> list[tuple]:
+        """Audit form: one `(table, key texts, action kind, data)` row per
+        rule, its key fields rendered as strings, sorted by those strings."""
+        # each key is rendered once: the row's key texts are also its sort key
+        name = self.name
+        out = [(name, [str(f) for f in key], rule.action.kind, rule.action.data)
                for key, rule in self.rules.items()]
-        out.sort(key=itemgetter("key"))
+        out.sort(key=itemgetter(1))
         return out

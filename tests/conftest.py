@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from p4filter.bloom import bloom_hash
 from p4filter.bundled import data_file, default_topology_path, scenario_path
 from p4filter.controller import SequenceStore, load_acl, parse_acl
 from p4filter.packet import make_packet
@@ -42,6 +43,17 @@ def run_bundled(name, topo, store=None, seed=None):
     sim = Simulator(topo, acl, store if store is not None else SequenceStore(),
                     seed=seed if seed is not None else scenario.seed)
     return sim.run(scenario), scenario
+
+
+# The single-filter reference: one Bloom filter's bit for a key, set and
+# tested as BloomPair does for each of its members.
+def filter_insert(f, key):
+    f.bits |= 1 << bloom_hash(key, f.hash_id, f.m)
+    f.inserted_count += 1
+
+
+def filter_contains(f, key):
+    return bool(f.bits >> bloom_hash(key, f.hash_id, f.m) & 1)
 
 
 def syn(src="10.0.1.1", dst="10.0.9.9", sport=1000, dport=80,

@@ -13,30 +13,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_bench, workload_report
-from p4filter.render import TRACE_FIELDS, TraceRows
+from p4filter.render import TRACE_FIELDS, RuleRows, TraceRows
 from p4filter.sim import RunReport
+from p4filter.tables import _ACTION_PARAM
 
 
 def oracle(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-# quote, backslash, control characters, non-ASCII, U+2028 and an astral
-# code point, as well as plain names
-ODD = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", " ", "\U0001F600"]
-names = st.sampled_from(["", "h1", "s1", "10.0.1.2", "Forwarded", *ODD]) | st.text(
-    st.sampled_from(ODD) | st.characters(), max_size=6)
+# quote, backslash, control characters, non-ASCII, U+2028, an astral code
+# point and format directives, as well as plain names
+ODD = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", " ", "\U0001F600",
+       "%", "%s", "%d", "%%", "{}"]
+names = st.sampled_from(["", "h1", "s1", "10.0.1.2", "Forwarded", *ODD]) | st.lists(
+    st.sampled_from(ODD) | st.characters(), max_size=6).map("".join)
 
 TRACE_INTS = ("dport", "sport", "time")
 trace_records = st.fixed_dictionaries(
     {k: st.integers() if k in TRACE_INTS else names for k in TRACE_FIELDS})
-rule_entries = st.fixed_dictionaries({
-    "action": names, "table": names,
-    "key": st.lists(names, min_size=1, max_size=3),
-    # a small pool, so one report holds equal params, in either key order
-    "params": st.sampled_from([{}, {"port": 1}, {"pos": 0, "port": 1},
-                               {"port": 1, "pos": 0}])
-    | st.dictionaries(names, st.integers(), max_size=3)})
+# Table.dump rows: any names for the table and key texts; no data with any
+# kind, and an integer only with a kind that takes a parameter. Small pools,
+# so one report holds rules of one shape on several switches.
+rule_keys = st.lists(names, min_size=1, max_size=3)
+rule_rows = (
+    st.tuples(names, rule_keys, names, st.none())
+    | st.tuples(names, rule_keys,
+                st.sampled_from(sorted(k for k, p in _ACTION_PARAM.items() if p)),
+                st.sampled_from([0, 1]) | st.integers()))
 
 reports = st.builds(
     RunReport,
@@ -47,7 +51,8 @@ reports = st.builds(
                       max_size=4).map(TraceRows)),
     hosts=st.dictionaries(names, st.dictionaries(
         st.sampled_from(["sent", "delivered", "dropped"]), st.integers()), max_size=3),
-    rules=st.dictionaries(names, st.lists(rule_entries, max_size=6), max_size=3),
+    rules=st.dictionaries(names, st.lists(rule_rows, max_size=6).map(RuleRows),
+                          max_size=3),
     sequences=st.dictionaries(names, st.fixed_dictionaries(
         {"knocks": st.lists(st.integers(), max_size=3), "service": st.integers()}),
         max_size=2),
@@ -69,14 +74,16 @@ def test_workload_report_text_equals_json_dumps(name):
 
 
 def test_render_holds_little_more_than_its_text():
-    """The pieces of the seed-1 stateful_forward report and their one join,
-    not further copies of its multi-megabyte trace section."""
-    report = workload_report("stateful_forward", 600)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        text = report.canonical_text()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before <= 2.5 * len(text)
+    """The pieces of a seed-1 report and their one join, not further copies
+    of its bulk section: the stateful_forward report is mostly trace, the
+    knock_admission one mostly rules."""
+    for name, size in [("stateful_forward", 600), ("knock_admission", 300)]:
+        report = workload_report(name, size)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            text = report.canonical_text()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2.5 * len(text), name

@@ -88,6 +88,49 @@ class TestTraceRows:
         assert_rows_share_address_text(report.trace.rows)
 
 
+@pytest.mark.parametrize("name", SCENARIOS)
+class TestRuleRows:
+    """The report keeps each switch's rules as rows; `report.rules` still
+    reads as the lists of rule dicts it used to hold."""
+
+    def test_records_are_the_reports(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        rules = json.loads(report.canonical_text())["rules"]
+        assert {sid: list(rows) for sid, rows in report.rules.items()} == rules
+        for sid, rows in report.rules.items():
+            assert [rows[i] for i in range(len(rows))] == rules[sid]
+            with pytest.raises(TypeError):
+                rows[1:4]
+        assert report.to_json_dict()["rules"] == rules
+
+    def test_each_read_is_a_fresh_dict(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        text = report.canonical_text()
+        sid, i = next((sid, i) for sid, rows in report.rules.items()
+                      for i, record in enumerate(rows) if record["params"])
+        first = report.rules[sid][i]
+        kept = json.loads(json.dumps(first))
+        first["action"] = "changed"
+        first["key"].append("changed")
+        first["params"]["changed"] = 1
+        assert report.rules[sid][i] is not first
+        assert report.rules[sid][i] == kept
+        assert report.canonical_text() == text
+
+    def test_len_is_the_entry_count(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        rules = json.loads(report.canonical_text())["rules"]
+        for sid, rows in report.rules.items():
+            assert len(rows) == sum(1 for _ in rows) == len(rules[sid])
+
+    def test_lists_of_records_compare_equal(self, name, default_topology):
+        report, _ = run_bundled(name, default_topology)
+        as_lists = dataclasses.replace(
+            report, rules={sid: list(rows) for sid, rows in report.rules.items()})
+        assert as_lists == report == run_bundled(name, default_topology)[0]
+        assert as_lists.to_json_dict() == report.to_json_dict()
+
+
 def assert_rows_share_address_text(rows):
     """Every row names an address by the one string that address renders, so
     a long trace holds one copy of each host's text, not one per row."""

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from p4filter import tables as tb
 from p4filter.packet import Ipv4Address, MacAddr
+from p4filter.render import RuleRows
 
 IP1 = Ipv4Address.from_text("10.0.2.2")
 IP2 = Ipv4Address.from_text("10.0.2.3")
@@ -175,20 +176,25 @@ class TestDump:
         check_mac = tb.Table("check_mac", (tb.KIND_IPV4, tb.KIND_MAC), tb.drop())
         check_mac.insert(tb.Rule((IP2, MAC1), tb.set_allowed()))
         rows = check_mac.dump() + t.dump()   # a switch's dump: tables by name
-        assert rows == sorted(rows, key=lambda r: (r["table"], r["key"]))
+        assert rows == sorted(rows, key=lambda r: (r[0], r[1]))
+        assert rows == [("check_mac", ["10.0.2.3", "02:00:00:00:00:01"], "SetAllowed", None),
+                        ("ipv4_forward", ["10.0.2.2"], "Forward", 3)]
+        records = RuleRows(rows)
         assert {"table": "ipv4_forward", "key": ["10.0.2.2"],
-                "action": "Forward", "params": {"port": 3}} in rows
+                "action": "Forward", "params": {"port": 3}} in records
         assert {"table": "check_mac", "key": ["10.0.2.3", "02:00:00:00:00:01"],
-                "action": "SetAllowed", "params": {}} in rows
+                "action": "SetAllowed", "params": {}} in records
 
     def test_mutating_a_dump_leaves_later_dumps_alone(self):
         t = tb.Table("ipv4_forward", (tb.KIND_IPV4,), tb.drop())
         t.insert(tb.Rule((IP1,), tb.forward(3)))
         first = t.dump()
-        first[0]["params"]["port"] = 99
-        first[0]["key"].append("x")
-        assert t.dump() == [{"table": "ipv4_forward", "key": ["10.0.2.2"],
-                              "action": "Forward", "params": {"port": 3}}]
+        first[0][1].append("x")
+        record = RuleRows(first)[0]
+        record["params"]["port"] = 99
+        record["key"].append("y")
+        assert RuleRows(t.dump()) == [{"table": "ipv4_forward", "key": ["10.0.2.2"],
+                                       "action": "Forward", "params": {"port": 3}}]
 
 
 class TestActions:
@@ -206,8 +212,9 @@ class TestActions:
         t = present_table()
         t.insert(tb.Rule((IP1,), action))
         assert action.params == params
-        assert t.dump() == [{"table": "present_table", "key": ["10.0.2.2"],
-                             "action": action.kind, "params": params}]
+        assert t.dump() == [("present_table", ["10.0.2.2"], action.kind, action.data)]
+        assert RuleRows(t.dump()) == [{"table": "present_table", "key": ["10.0.2.2"],
+                                       "action": action.kind, "params": params}]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown action kind 'Teleport'"):
