@@ -3,14 +3,18 @@
 `render(doc)` returns `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`
 for a run report's fields as `Simulator._report` builds them. With
 `indent` set, json leaves its C encoder, so the bulk sections are written
-from rows. A `TraceRows` "trace" fills one `%` template per record
-(`time`, `sport` and `dport` ints, the rest strings). Each switch's
-`RuleRows` under "rules" holds `Table.dump` rows; every distinct
-(table, action kind, data) shape gets the text of its entries before and
-after the key once, and each rule is that head, its escaped key texts and
-that tail, joined with the rest, so no name is read as a format directive.
-The small sections, and a trace given as a list of record dicts, go
-through `json.dumps`. Each distinct string is escaped once.
+from rows. Each `TraceRows` record adds nine shared pieces: a constant
+head, the texts of its `dport`, `sport` and `time` from a memo of each
+distinct int, the `"src"` key and its escaped value, and three segments
+escaped once per distinct (switch, verdict, stage, dst, reason) shape.
+Each switch's `RuleRows` under "rules" holds `Table.dump` rows; every
+distinct (table, action kind, data) shape gets the text of its entries
+before and after the key once, and each rule is that head, its escaped
+key texts and that tail. Pieces are joined by concatenation, so no name
+is read as a format directive. The small sections, and a trace given as
+a list of record dicts, go through `json.dumps`. Each distinct string is
+escaped once, and no output walks a memo, so the text never depends on
+the hash seed.
 """
 
 from __future__ import annotations
@@ -27,13 +31,11 @@ TRACE_FIELDS = (
     "time", "switch", "verdict", "stage", "src", "dst", "sport", "dport", "reason")
 
 # A trace record as an item of the top-level "trace" list, at indent 4,
-# after its separator; its keys in sorted order.
-_TRACE_RECORD = (
-    ',\n    {\n'
-    '      "dport": %d,\n      "dst": %s,\n      "reason": %s,\n'
-    '      "sport": %d,\n      "src": %s,\n      "stage": %s,\n'
-    '      "switch": %s,\n      "time": %d,\n      "verdict": %s\n'
-    '    }')
+# after its separator, its keys in sorted order: this head, the dport
+# text, the record's shape's first segment, the sport text, `_SRC`, the
+# escaped src, the second segment, the time text and the last segment.
+_TRACE_HEAD = ',\n    {\n      "dport": '
+_SRC = ',\n      "src": '
 
 # the separator of a rule entry's "key" items and "params" members, at indent 10
 _RULE_SEP = ',\n          '
@@ -91,6 +93,34 @@ class _Strings(dict):
         return text
 
 
+class _Ints(dict):
+    """The JSON text of each distinct int, written on first use."""
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = "%d" % i
+        return text
+
+
+class _TraceShapes(dict):
+    """The three segments of a trace record of each distinct (switch,
+    verdict, stage, dst, reason) shape, escaped on first use: the text
+    after its dport, after its src and after its time."""
+
+    def __init__(self, text: _Strings):
+        self.text = text
+
+    def __missing__(self, shape: tuple) -> tuple[str, str, str]:
+        switch, verdict, stage, dst, reason = shape
+        text = self.text
+        segments = self[shape] = (
+            ',\n      "dst": ' + text[dst] + ',\n      "reason": ' + text[reason]
+            + ',\n      "sport": ',
+            ',\n      "stage": ' + text[stage] + ',\n      "switch": ' + text[switch]
+            + ',\n      "time": ',
+            ',\n      "verdict": ' + text[verdict] + '\n    }')
+        return segments
+
+
 def _close_list(out: list[str], start: int, close: str) -> None:
     """Make the pieces from `out[start]` on a list, its items each led by a
     "," separator: the first one's becomes "["; "[]" if there are none."""
@@ -129,12 +159,14 @@ def render(doc: dict) -> str:
         if name in small:
             out.append(small[name])
         elif name == "trace":
-            start = len(out)
-            out += [_TRACE_RECORD % (
-                dport, text[dst], text[reason], sport, text[src],
-                text[stage], text[switch], time, text[verdict])
-                for time, switch, verdict, stage, src, dst, sport, dport, reason
-                in value.rows]
+            # A record's switch, verdict, stage, dst and reason come from
+            # the topology and a fixed vocabulary, so few shapes cover a
+            # run; its src and ints may differ on every row.
+            ints, shapes, start = _Ints(), _TraceShapes(text), len(out)
+            for time, switch, verdict, stage, src, dst, sport, dport, reason in value.rows:
+                after_dport, after_src, after_time = shapes[switch, verdict, stage, dst, reason]
+                out += (_TRACE_HEAD, ints[dport], after_dport, ints[sport], _SRC, text[src],
+                        after_src, ints[time], after_time)
             _close_list(out, start, "\n  ]")
         else:
             shapes = {}   # (table, kind, data) -> the head and tail of its entries

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 from .bundled import read_json
 from .controller import SequenceStore
-from .packet import FLAG_BITS, IPV4_LEN, TCP_LEN, Ipv4Address, tcp_flags
+from .packet import FLAG_BITS, IPV4_LEN, TCP_LEN, Ipv4Address, _new_tuple, tcp_flags
 
 MAX_PAYLOAD = 0xFFFF - IPV4_LEN - TCP_LEN   # IPv4 total_length is 16 bits
 
@@ -33,7 +33,9 @@ class NoSequence(Exception):
 
 
 # Actions and events are NamedTuples: immutable records that parsing builds
-# once per event, at about a third of a frozen dataclass's cost.
+# once per event. A send action and every event are built with
+# `_new_tuple` once their fields are checked, which skips the class call's
+# Python-level `__new__`.
 class SendAction(NamedTuple):
     dst: str                      # destination host name
     dport: int
@@ -136,18 +138,18 @@ def _parse_send(item: dict) -> SendAction:
     if len(payload) > MAX_PAYLOAD:
         raise InvalidScenario(f"payload is longer than {MAX_PAYLOAD} bytes")
     dst, src_ip_of, src_mac_of = _targets(item)
-    return SendAction(
-        dst=dst,
-        dport=_integer(item, "dport", high=0xFFFF),
-        sport=_integer(item, "sport", high=0xFFFF) if item.get("sport") is not None else None,
-        flags=tuple(flags),
-        payload=payload,
-        ttl=_integer(item, "ttl", 64, high=0xFF),
-        src_ip_of=src_ip_of,
-        src_mac_of=src_mac_of,
-        repeat=_integer(item, "repeat", 1),
-        gap=_integer(item, "gap", 1),
-    )
+    return _new_tuple(SendAction, (
+        dst,
+        _integer(item, "dport", high=0xFFFF),
+        _integer(item, "sport", high=0xFFFF) if item.get("sport") is not None else None,
+        tuple(flags),
+        payload,
+        _integer(item, "ttl", 64, high=0xFF),
+        src_ip_of,
+        src_mac_of,
+        _integer(item, "repeat", 1),
+        _integer(item, "gap", 1),
+    ))
 
 
 def _parse_knock(item: dict) -> KnockAction:
@@ -206,7 +208,7 @@ def parse_scenario(obj) -> ScenarioSpec:
             action = _ACTION_PARSERS[kind](item)
         except (KeyError, TypeError) as e:
             raise InvalidScenario(f"bad {kind} event {item!r}: {e}") from e
-        events.append(ScenarioEvent(time, host, action))
+        events.append(_new_tuple(ScenarioEvent, (time, host, action)))
 
     preinstall = []
     for item in obj.get("preinstall", []):

@@ -197,9 +197,11 @@ class Table:
     def dump(self) -> list[tuple]:
         """Audit form: one `(table, key texts, action kind, data)` row per
         rule, its key fields rendered as strings, sorted by those strings."""
-        # each key is rendered once: the row's key texts are also its sort key
+        # each key is rendered once: the row's key texts are also its sort key;
+        # a port is an int, and an address has its text cached
         name = self.name
-        out = [(name, [str(f) for f in key], rule.action.kind, rule.action.data)
+        out = [(name, [str(f) if type(f) is int else f.text for f in key],
+                rule.action.kind, rule.action.data)
                for key, rule in self.rules.items()]
         out.sort(key=itemgetter(1))
         return out

@@ -86,4 +86,6 @@ def test_render_holds_little_more_than_its_text():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before <= 2.5 * len(text), name
+        # measured 1.50 (stateful_forward) and 1.47 (knock_admission) on
+        # Python 3.11; the rest is headroom for other versions' allocators
+        assert peak - before <= 1.75 * len(text), name

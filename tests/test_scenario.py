@@ -3,9 +3,9 @@ import pytest
 from p4filter.controller import SequenceStore
 from p4filter.knocking import KnockSequence
 from p4filter.packet import SYN, ACK, Ipv4Address
-from p4filter.scenario import (InvalidScenario, KnockAction, NoSequence,
-                               SendAction, knock_client, load_scenario,
-                               parse_scenario)
+from p4filter.scenario import (MAX_PAYLOAD, InvalidScenario, KnockAction,
+                               NoSequence, SendAction, knock_client,
+                               load_scenario, parse_scenario)
 
 H_IP = Ipv4Address.from_text("10.0.1.2")
 
@@ -71,11 +71,30 @@ class TestParsing:
         (scenario([{"time": 0, "host": "h1", "action": "knock",
                     "dst": "h6", "order": [0, 1, 1]}]), "permute"),
         (scenario([send_event(flags="SYN")]), "flags must be a list"),
+        # one bad send field each, with the message that names it
+        (scenario([send_event(dport=65536)]), r"dport must be an integer in 0\.\.65535: \{"),
+        (scenario([send_event(sport=True)]), r"sport must be an integer in 0\.\.65535: \{"),
+        (scenario([send_event(ttl=256)]), r"ttl must be an integer in 0\.\.255: \{"),
+        (scenario([send_event(repeat=-1)]), r"repeat must be a non-negative integer: \{"),
+        (scenario([send_event(gap=True)]), r"gap must be a non-negative integer: \{"),
+        (scenario([send_event(flags=["NOPE"])]), r"unknown TCP flag 'NOPE', known: \["),
+        (scenario([send_event(flags=["SYN", 3])]), r"unknown TCP flag 3, known: \["),
+        (scenario([send_event(payload=5)]), r"payload must be a string: \{"),
+        (scenario([send_event(payload="\ud800")]), r"payload must be valid Unicode text: \{"),
+        (scenario([send_event(payload="x" * (MAX_PAYLOAD + 1))]),
+         rf"^payload is longer than {MAX_PAYLOAD} bytes$"),
+        (scenario([send_event(dst=5)]), r"dst must be a string: \{"),
+        (scenario([send_event(src_ip_of=[])]), r"src_ip_of must be a string or null: \{"),
         (scenario(), "seed"),
         (scenario(), "expect"),
     ], ids=["not-object", "missing-action", "negative-time",
             "decreasing-times", "unknown-action", "send-missing-dst",
-            "bad-knock-order", "flags-not-list", "bad-seed", "bad-expect"])
+            "bad-knock-order", "flags-not-list", "send-dport-too-large",
+            "send-sport-bool", "send-ttl-too-large", "send-repeat-negative",
+            "send-gap-bool", "send-unknown-flag", "send-flag-not-string",
+            "send-payload-not-string", "send-payload-lone-surrogate",
+            "send-payload-too-long", "send-dst-not-string",
+            "send-src-ip-of-list", "bad-seed", "bad-expect"])
     def test_rejects_malformed(self, bad, match):
         if match == "seed":
             bad = dict(bad, seed="one")
